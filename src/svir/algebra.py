@@ -176,13 +176,8 @@ class SuperVirasoro:
 
     def bracket(self, x, y) -> AlgebraElement:
         """Bilinear extension of the basis bracket."""
-        x = self.element(x)
-        y = self.element(y)
-        out = AlgebraElement({})
-        for bx, cx in x.items():
-            for by, cy in y.items():
-                out = out + self.bracket_basis(bx, by).scale(cx * cy)
-        return out
+        return AlgebraElement.bilinear(self.element(x), self.element(y),
+                                       self.bracket_basis)
 
     # -- identity checks ---------------------------------------------------------
 
@@ -196,11 +191,10 @@ class SuperVirasoro:
         px, py, pz = x.parity(), y.parity(), z.parity()
         if px is None or py is None or pz is None:
             raise HomogeneityError("the Jacobi residual needs homogeneous inputs")
-        out = self.bracket(x, self.bracket(y, z)) - self.bracket(self.bracket(x, y), z)
         inner = self.bracket(y, self.bracket(x, z))
-        if px and py:
-            return out + inner
-        return out - inner
+        return AlgebraElement.sum((self.bracket(x, self.bracket(y, z)),
+                                   -self.bracket(self.bracket(x, y), z),
+                                   inner if px and py else -inner))
 
     def ad_power(self, x, m: int, y) -> AlgebraElement:
         """m-fold left bracket with x; m = 0 returns y unchanged."""
@@ -311,10 +305,9 @@ class SuperVirasoro:
         """
         x = self.element(x)
         cfg = self.config
-        parities = {sym.parity for sym in x.terms}
-        if not parities:
+        if x.is_zero():
             return ("even", cfg.ctx.zero)
-        parity = "mixed" if len(parities) > 1 else ("odd" if parities.pop() else "even")
+        parity = {0: "even", 1: "odd", None: "mixed"}[x.parity()]
         indexes = {sym.index if sym.index is not None else cfg.zero_index
                    for sym in x.terms}
         if len(indexes) == 1:

@@ -56,7 +56,7 @@ class Session:
             self.config = AlgebraConfig(n, d_names, sigma, extra_names=extra)
         except Exception as exc:
             raise UsageError(f"bad configuration: {exc}") from None
-        self.radius = parse_rational(str(raw.get("radius", 2)))
+        self.radius = self.resolve_radius(None)
         self.family = raw.get("family")
         self.params = raw.get("params", {})
         self.output = raw.get("output")
@@ -82,6 +82,14 @@ class Session:
         else:
             spec = ModuleSpec.sb_prime(values["a'"])
         return SeriesModule(self.config, spec)
+
+    def resolve_radius(self, text):
+        """The command's radius, else the config's: a nonnegative multiple of 1/2."""
+        text = text or str(self.raw.get("radius", 2))
+        radius = parse_rational(text)
+        if radius < 0 or (2 * radius).denominator != 1:
+            raise UsageError(f"radius {text} is not 0 or a positive multiple of 1/2")
+        return radius
 
     def echo(self):
         return {
@@ -128,7 +136,7 @@ def cmd_act(session, args):
 
 
 def cmd_jacobi_fuzz(session, args):
-    radius = parse_rational(args.radius) if args.radius else session.radius
+    radius = session.resolve_radius(args.radius)
     sv = SuperVirasoro(session.config)
     elems = _basis_elements(session.config, radius)
     checked = 0
@@ -153,7 +161,7 @@ def cmd_jacobi_fuzz(session, args):
 
 
 def cmd_antisym(session, args):
-    radius = parse_rational(args.radius) if args.radius else session.radius
+    radius = session.resolve_radius(args.radius)
     sv = SuperVirasoro(session.config)
     elems = _basis_elements(session.config, radius)
     failures = []
@@ -166,7 +174,6 @@ def cmd_antisym(session, args):
         if lhs != flipped:
             failures.append({"pair": [str(x), str(y)]})
     central = [str(x) for x in elems if not sv.bracket_basis(CENTRAL, x).is_zero()]
-    ok = not failures and not central
     results = [{"check": "graded_antisymmetry", "status": "pass" if not failures else "fail",
                 "pairs": checked, "failures": failures},
                {"check": "centrality", "status": "pass" if not central else "fail",
@@ -177,7 +184,7 @@ def cmd_antisym(session, args):
 
 
 def cmd_rep_fuzz(session, args):
-    radius = parse_rational(args.radius) if args.radius else session.radius
+    radius = session.resolve_radius(args.radius)
     vradius = parse_rational(args.vector_radius)
     module = session.module(args.family)
     elems = _basis_elements(session.config, radius)
@@ -268,7 +275,7 @@ def cmd_iso_check(session, args):
 
 
 def cmd_simplicity(session, args):
-    radius = parse_rational(args.radius) if args.radius else session.radius
+    radius = session.resolve_radius(args.radius)
     module = session.module(args.family)
     report = module.simplicity_probe(BoxSpec(radius))
     params = module.spec.params()
@@ -287,7 +294,7 @@ def cmd_simplicity(session, args):
 
 
 def cmd_ghw(session, args):
-    radius = parse_rational(args.radius) if args.radius else session.radius
+    radius = session.resolve_radius(args.radius)
     module = session.module(args.family)
     v = parse_element(session.config, args.vector, spec=module.spec)
     if not isinstance(v, ModuleVector):
@@ -307,7 +314,7 @@ def cmd_ghw(session, args):
 
 
 def cmd_quotient(session, args):
-    radius = parse_rational(args.radius) if args.radius else session.radius
+    radius = session.resolve_radius(args.radius)
     module = session.module(args.family)
     box = BoxSpec(radius)
     seeds = []

@@ -5,6 +5,18 @@ from __future__ import annotations
 from .scalar import ScalarExpr
 
 
+def _merge(terms, items):
+    """Add (symbol, coefficient) items into terms in place; drop zeros."""
+    for sym, coeff in items:
+        if sym in terms:
+            coeff = terms[sym] + coeff
+        if coeff.is_zero():
+            terms.pop(sym, None)
+        else:
+            terms[sym] = coeff
+    return terms
+
+
 class FormalSum:
     """Immutable linear combination: basis symbol -> nonzero ScalarExpr.
 
@@ -18,21 +30,30 @@ class FormalSum:
 
     @classmethod
     def from_terms(cls, items):
-        terms = {}
-        for sym, coeff in items:
-            if sym in terms:
-                coeff = terms[sym] + coeff
-            if coeff.is_zero():
-                terms.pop(sym, None)
-            else:
-                terms[sym] = coeff
-        return cls(terms)
+        return cls(_merge({}, items))
 
     @classmethod
-    def single(cls, sym, coeff):
-        if coeff.is_zero():
-            return cls({})
-        return cls({sym: coeff})
+    def sum(cls, parts):
+        """Sum of formal sums; a lone nonzero part is returned as it is."""
+        first = terms = None
+        for part in parts:
+            if not part.terms:
+                continue
+            if first is None:
+                first = part
+                continue
+            if terms is None:
+                terms = dict(first.terms)
+            _merge(terms, part.terms.items())
+        if terms is not None:
+            return cls(terms)
+        return cls({}) if first is None else first
+
+    @classmethod
+    def bilinear(cls, x, y, basis_map):
+        """Bilinear extension of basis_map(symbol of x, symbol of y)."""
+        return cls.sum([basis_map(bx, by).scale(cx * cy)
+                        for bx, cx in x.items() for by, cy in y.items()])
 
     def is_zero(self):
         return not self.terms
@@ -44,27 +65,13 @@ class FormalSum:
         return self.terms.get(sym, default)
 
     def __add__(self, other):
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        terms = dict(self.terms)
-        for sym, coeff in other.terms.items():
-            if sym in terms:
-                acc = terms[sym] + coeff
-                if acc.is_zero():
-                    del terms[sym]
-                else:
-                    terms[sym] = acc
-            else:
-                terms[sym] = coeff
-        return type(self)(terms)
+        return type(self).sum((self, other))
 
     def __neg__(self):
         return type(self)({sym: -coeff for sym, coeff in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return type(self).sum((self, -other))
 
     def scale(self, coeff: ScalarExpr):
         if coeff.is_zero():

@@ -162,10 +162,6 @@ class AlgebraConfig:
             ranges.append([s + k for k in range(lo, hi + 1)])
         return tuple(IndexVector(c, Parity.ODD) for c in itertools.product(*ranges))
 
-    def in_box(self, v: IndexVector, radius) -> bool:
-        radius = as_fraction(radius)
-        return all(abs(c) <= radius for c in v.coords)
-
 
 # ---------------------------------------------------------------------------
 # Integer bases

@@ -94,10 +94,12 @@ class _ScalarParser:
     def term(self):
         value = self.factor()
         while True:
-            kind, op, _ = self.peek()
+            kind, op, pos = self.peek()
             if kind == "op" and op in "*/":
                 self.take()
                 rhs = self.factor()
+                if op == "/" and rhs.is_zero():
+                    raise ParseError("division by zero", self.text, pos)
                 value = value * rhs if op == "*" else value / rhs
             else:
                 return value
@@ -114,10 +116,13 @@ class _ScalarParser:
 
     def power(self):
         base = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.take()
-            return base ** self.exponent()
+            exponent = self.exponent()
+            if exponent < 0 and base.is_zero():
+                raise ParseError("division by zero", self.text, pos)
+            return base ** exponent
         return base
 
     def exponent(self) -> int:

@@ -265,13 +265,8 @@ class SeriesModule:
 
     def act(self, g, v) -> ModuleVector:
         """Bilinear extension of the basis action."""
-        g = self.algebra.element(g)
-        v = self.vector(v)
-        out = ModuleVector({})
-        for ge, gc in g.items():
-            for vb, vc in v.items():
-                out = out + self.act_basis(ge, vb).scale(gc * vc)
-        return out
+        return ModuleVector.bilinear(self.algebra.element(g), self.vector(v),
+                                     self.act_basis)
 
     def rep_residual(self, u, w, v) -> ModuleVector:
         """Module-axiom residual on a homogeneous generator pair.
@@ -285,11 +280,10 @@ class SeriesModule:
         pu, pw = u.parity(), w.parity()
         if pu is None or pw is None:
             raise ValueError("the module axiom check needs homogeneous generators")
-        out = self.act(self.algebra.bracket(u, w), v) - self.act(u, self.act(w, v))
         cross = self.act(w, self.act(u, v))
-        if pu and pw:
-            return out - cross
-        return out + cross
+        return ModuleVector.sum((self.act(self.algebra.bracket(u, w), v),
+                                 -self.act(u, self.act(w, v)),
+                                 -cross if pu and pw else cross))
 
     def weight_of(self, v: ModuleBasisVector) -> ScalarExpr:
         """Eigenvalue of L_0 on v."""

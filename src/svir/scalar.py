@@ -103,9 +103,6 @@ class PolyExact:
             raise ValueError("not a constant polynomial")
         return coeff
 
-    def leading_exponent(self):
-        return max(self.terms)
-
     def leading_coeff(self):
         return self.terms[max(self.terms)]
 

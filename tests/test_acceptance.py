@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import pytest
 
-from svir.algebra import (AlgebraElement, BasisElt, CENTRAL, Kind,
-                          SuperVirasoro)
+from svir.algebra import AlgebraElement, CENTRAL, SuperVirasoro
+from svir.cli import _basis_elements
 from svir.lattice import (AlgebraConfig, LatticeBasis, adapted_cone_basis,
                           cone_inclusion_check, iso_check, nested_cone_basis,
                           unimodular_det)
@@ -38,11 +38,6 @@ def _line(num, description, ok):
 def lean_cfg():
     # two indeterminates keep the big enumerations fast
     return AlgebraConfig(2, ("d1", "d2"), (HALF, 0))
-
-
-def _basis_elements(config, radius):
-    return [BasisElt(Kind.L, v) for v in config.even_box(radius)] + \
-        [BasisElt(Kind.G, v) for v in config.odd_box(radius)] + [CENTRAL]
 
 
 def test_criterion_01_super_jacobi_suite(lean_cfg):

@@ -2,10 +2,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svir.algebra import (BasisElt, CENTRAL, DegenerateFactorError,
-                          HomogeneityError, Kind)
-from svir.lattice import ParityError
+from svir.algebra import (AlgebraElement, BasisElt, CENTRAL,
+                          DegenerateFactorError, HomogeneityError, Kind)
+from svir.lattice import AlgebraConfig, ParityError
+from svir.repmod import BoxSpec, ModuleSpec, ModuleVector, SeriesModule
 
 from jacobi_defect import expected_jacobi_residual
 
@@ -226,3 +228,55 @@ def test_basis_elt_validation(cfg):
         BasisElt(Kind.G, cfg.even((1, 0)))
     with pytest.raises(ValueError):
         BasisElt(Kind.C, cfg.even((0, 0)))
+
+
+# -- bilinear accumulation against a plain-dict reference ---------------------
+
+_CFG = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "b"))
+_SA = SeriesModule(_CFG, ModuleSpec.sa(_CFG.var("a"), _CFG.var("b")))
+_GENERATORS = [BasisElt(Kind.L, v) for v in _CFG.even_box(1)] + \
+    [BasisElt(Kind.G, v) for v in _CFG.odd_box(1)] + [CENTRAL]
+_VECTORS = list(_SA.basis_in_box(BoxSpec(1)))
+
+
+@st.composite
+def _raw_terms(draw, pool):
+    """1-4 (symbol, rational) terms; a term may be followed by its negative."""
+    items = []
+    for sym in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)):
+        coeff = draw(st.fractions(-2, 2, max_denominator=3).filter(bool))
+        items.append((sym, coeff))
+        if draw(st.booleans()):
+            items.append((sym, -coeff))
+    return items
+
+
+def _reference(x_items, y_items, basis_map):
+    """Bilinear extension accumulated symbol by symbol in a plain dict."""
+    ref = {}
+    for bx, cx in x_items:
+        for by, cy in y_items:
+            for sym, c in basis_map(bx, by).items():
+                ref[sym] = ref.get(sym, _CFG.ctx.zero) + c * (cx * cy)
+    return {sym: c for sym, c in ref.items() if not c.is_zero()}
+
+
+def _build(cls, items):
+    return cls.from_terms((sym, _CFG.scalar(c)) for sym, c in items)
+
+
+@given(_raw_terms(_GENERATORS), st.none() | _raw_terms(_GENERATORS),
+       _raw_terms(_VECTORS))
+@settings(max_examples=40, deadline=None)
+def test_bracket_and_act_accumulate_like_a_plain_dict(x_items, y_items, v_items):
+    # y = x when none is drawn, so even self-brackets cancel to zero
+    y_items = x_items if y_items is None else y_items
+    sv = _SA.algebra
+    x, y = _build(AlgebraElement, x_items), _build(AlgebraElement, y_items)
+    v = _build(ModuleVector, v_items)
+    for out, ref in [(sv.bracket(x, y), _reference(x_items, y_items, sv.bracket_basis)),
+                     (_SA.act(x, v), _reference(x_items, v_items, _SA.act_basis))]:
+        assert out.terms == ref
+        assert not any(c.is_zero() for c in out.terms.values())
+        assert (out - out).is_zero()
+    assert (x - x).is_zero() and (v - v).is_zero()

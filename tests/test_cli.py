@@ -146,6 +146,48 @@ def test_usage_errors(tmp_path):
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["jacobi-fuzz", "--radius", "-1"],
+    ["antisym", "--radius", "1/3"],
+])
+def test_vacuous_radius_is_a_usage_error(tmp_path, capsys, argv):
+    code, report = run(tmp_path, *argv)
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith(f"error: radius {argv[-1]} is not")
+
+
+def test_config_radius_is_validated(tmp_path, capsys):
+    config = tmp_path / "session.json"
+    config.write_text(json.dumps({"radius": "-1"}))
+    code, report = run(tmp_path, "--config", str(config), "jacobi-fuzz")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error: radius -1 is not")
+
+
+def test_half_radius_stays_valid(tmp_path):
+    code, report = run(tmp_path, "rep-fuzz", "--family", "SA", "--radius", "1/2")
+    assert code == 0
+    assert report["results"][0]["triples"] == 240
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "1/0*L[1,0]", "L[0,0]"],
+    ["bracket", "(d1 - d1)^-1*L[1,0]", "L[0,0]"],
+])
+def test_division_by_zero_literal_is_a_usage_error(tmp_path, capsys, argv):
+    code, report = run(tmp_path, *argv)
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error: division by zero")
+
+
+def test_division_by_zero_parameter_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "session.json"
+    config.write_text(json.dumps({"family": "SA", "params": {"a": "1/(a - a)"}}))
+    code, report = run(tmp_path, "--config", str(config), "act", "L[1,0]", "x[0,0]")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error: division by zero")
+
+
 def test_config_file(tmp_path):
     config = tmp_path / "session.json"
     config.write_text(json.dumps({
