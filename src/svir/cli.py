@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from .algebra import (AlgebraElement, BasisElt, CENTRAL,
@@ -23,18 +24,10 @@ from .repmod import BoxSpec, Family, ModuleSpec, ModuleVector, SeriesModule
 
 SCHEMA_VERSION = 1
 
-DEFAULT_CONFIG = {
-    "n": 2,
-    "d_names": ["d1", "d2"],
-    "sigma": ["1/2", "0"],
-    "radius": 2,
-}
-
-_FAMILY_PARAMS = {
-    Family.SA: ("a", "b"),
-    Family.SAPRIME: ("a'",),
-    Family.SBPRIME: ("a'",),
-}
+# JSON type of each config key; a missing or null key takes its default
+_CONFIG_TYPES = {"n": int, "d_names": list, "sigma": list, "extra_names": list,
+                 "family": str, "params": dict, "output": str}
+_TYPE_NAMES = {int: "an integer", list: "a list", str: "a string", dict: "an object"}
 
 
 class UsageError(Exception):
@@ -42,46 +35,48 @@ class UsageError(Exception):
 
 
 class Session:
-    """Configuration shared by one CLI invocation."""
+    """Configuration shared by one CLI invocation: defaults derived from n,
+    the run's family resolved once, and only the indeterminates it uses."""
 
-    def __init__(self, raw: dict):
+    def __init__(self, raw: dict, family=None):
+        if not isinstance(raw, dict):
+            raise UsageError("the configuration must be a JSON object")
+        raw = {k: v for k, v in raw.items() if v is not None}
+        for key, kind in _CONFIG_TYPES.items():
+            value = raw.get(key)
+            if key in raw and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise UsageError(f"config {key!r} must be {_TYPE_NAMES[kind]}, "
+                                 f"not {value!r}")
         self.raw = raw
         n = raw.get("n", 2)
         d_names = raw.get("d_names") or [f"d{i+1}" for i in range(n)]
-        sigma = [parse_rational(str(s)) for s in raw.get("sigma", ["0"] * n)]
-        extra = tuple(raw.get("extra_names", ()))
-        # declare every family parameter so any family can be selected per run
-        extra = tuple(dict.fromkeys(("a", "b", "a'") + extra))
+        sigma = [parse_rational(str(s))
+                 for s in raw.get("sigma", ["1/2"] + ["0"] * (n - 1))]
+        self.params = raw.get("params", {})
+        self.family = raw.get("family")
+        name = family or self.family
         try:
+            self.run_family = Family(name) if name else None
+        except ValueError:
+            raise UsageError(f"unknown family {name!r}; choose from "
+                             f"{[f.value for f in Family]}") from None
+        names = self.run_family.param_names if self.run_family else ()
+        try:
+            extra = tuple(dict.fromkeys(names + tuple(raw.get("extra_names", ()))))
             self.config = AlgebraConfig(n, d_names, sigma, extra_names=extra)
         except Exception as exc:
             raise UsageError(f"bad configuration: {exc}") from None
         self.radius = self.resolve_radius(None)
-        self.family = raw.get("family")
-        self.params = raw.get("params", {})
         self.output = raw.get("output")
 
-    def module(self, family_name=None) -> SeriesModule:
-        name = family_name or self.family
-        if not name:
+    def module(self) -> SeriesModule:
+        family = self.run_family
+        if family is None:
             raise UsageError("this command needs a module family "
                              "(--family or the config file)")
-        try:
-            family = Family(name)
-        except ValueError:
-            raise UsageError(f"unknown family {name!r}; choose from "
-                             f"{[f.value for f in Family]}") from None
-        values = {}
-        for pname in _FAMILY_PARAMS[family]:
-            literal = self.params.get(pname, pname)
-            values[pname] = parse_scalar(self.config.ctx, str(literal))
-        if family is Family.SA:
-            spec = ModuleSpec.sa(values["a"], values["b"])
-        elif family is Family.SAPRIME:
-            spec = ModuleSpec.sa_prime(values["a'"])
-        else:
-            spec = ModuleSpec.sb_prime(values["a'"])
-        return SeriesModule(self.config, spec)
+        values = {name: parse_scalar(self.config.ctx, str(self.params.get(name, name)))
+                  for name in family.param_names}
+        return SeriesModule(self.config, ModuleSpec.of(family, values))
 
     def resolve_radius(self, text):
         """The command's radius, else the config's: a nonnegative multiple of 1/2."""
@@ -125,7 +120,7 @@ def cmd_bracket(session, args):
 
 
 def cmd_act(session, args):
-    module = session.module(args.family)
+    module = session.module()
     g = parse_element(session.config, args.element)
     v = parse_element(session.config, args.vector, spec=module.spec)
     if not isinstance(g, AlgebraElement) or not isinstance(v, ModuleVector):
@@ -186,7 +181,7 @@ def cmd_antisym(session, args):
 def cmd_rep_fuzz(session, args):
     radius = session.resolve_radius(args.radius)
     vradius = parse_rational(args.vector_radius)
-    module = session.module(args.family)
+    module = session.module()
     elems = _basis_elements(session.config, radius)
     vectors = module.basis_in_box(BoxSpec(vradius))
     checked = 0
@@ -199,12 +194,7 @@ def cmd_rep_fuzz(session, args):
                 failures.append({"u": str(u), "w": str(w), "v": str(v),
                                  "residual": str(residual)})
     status = "fail" if failures else "pass"
-    params = module.spec.params()
-    results = [{"check": "rep_axiom", "status": status,
-                "family": module.spec.family.value,
-                "params": {k: str(v) for k, v in params.items()},
-                "specialized_params": sorted(k for k, v in params.items()
-                                             if v.is_constant()),
+    results = [{"check": "rep_axiom", "status": status, **module.spec.to_dict(),
                 "triples": checked, "failures": failures}]
     lines = [f"rep-fuzz {module.spec.family.value}: {checked} triples "
              f"(generators radius {radius}, vectors radius {vradius}): "
@@ -276,15 +266,10 @@ def cmd_iso_check(session, args):
 
 def cmd_simplicity(session, args):
     radius = session.resolve_radius(args.radius)
-    module = session.module(args.family)
+    module = session.module()
     report = module.simplicity_probe(BoxSpec(radius))
-    params = module.spec.params()
     results = [{"check": "simplicity_probe", "status": "info",
-                "family": module.spec.family.value,
-                "params": {k: str(v) for k, v in params.items()},
-                "specialized_params": sorted(k for k, v in params.items()
-                                             if v.is_constant()),
-                **report.to_dict()}]
+                **module.spec.to_dict(), **report.to_dict()}]
     lines = [f"simplicity {module.spec.family.value} (radius {radius}): "
              f"{len(report.candidates)} candidate submodule(s) among "
              f"{report.box_size} basis vectors [{report.note}]"]
@@ -295,7 +280,7 @@ def cmd_simplicity(session, args):
 
 def cmd_ghw(session, args):
     radius = session.resolve_radius(args.radius)
-    module = session.module(args.family)
+    module = session.module()
     v = parse_element(session.config, args.vector, spec=module.spec)
     if not isinstance(v, ModuleVector):
         raise UsageError("ghw expects a module vector")
@@ -315,7 +300,7 @@ def cmd_ghw(session, args):
 
 def cmd_quotient(session, args):
     radius = session.resolve_radius(args.radius)
-    module = session.module(args.family)
+    module = session.module()
     box = BoxSpec(radius)
     seeds = []
     if args.seeds:
@@ -434,16 +419,29 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    config_path = getattr(args, "config", None)
-    output_path = getattr(args, "output", None)
-
     try:
-        raw = dict(DEFAULT_CONFIG)
-        if config_path:
-            with open(config_path) as fh:
-                raw.update(json.load(fh))
-        session = Session(raw)
+        raw = {}
+        if getattr(args, "config", None):
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        session = Session(raw, getattr(args, "family", None))
+        output = getattr(args, "output", None) or session.output or "report.json"
+        directory = os.path.dirname(os.path.abspath(output))
+        if os.path.isdir(output) or not (os.path.isdir(directory)
+                                         and os.access(directory, os.W_OK)):
+            raise UsageError(f"cannot write the report to {output}")
         results, lines = args.handler(session, args)
+        passed = all(r["status"] != "fail" for r in results)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "config": session.echo(),
+            "results": results,
+            "passed": passed,
+        }
+        with open(output, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except DegenerateFactorError as exc:
         print(f"degenerate check: {exc}", file=sys.stderr)
         return 1
@@ -451,18 +449,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    passed = all(r["status"] != "fail" for r in results)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "config": session.echo(),
-        "results": results,
-        "passed": passed,
-    }
-    output = output_path or session.output or "report.json"
-    with open(output, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     for line in lines:
         print(line)
     print(f"{'PASS' if passed else 'FAIL'} (report written to {output})")

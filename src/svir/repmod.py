@@ -55,6 +55,15 @@ class Family(Enum):
     SAPRIME = "SAprime"
     SBPRIME = "SBprime"
 
+    @property
+    def param_names(self):
+        """The family's parameter names, in declaration order."""
+        return ("a", "b") if self is Family.SA else ("a'",)
+
+
+# the ModuleSpec field that holds each family parameter
+_FIELDS = {"a": "a", "b": "b", "a'": "aprime"}
+
 
 @dataclass(frozen=True)
 class ModuleSpec:
@@ -66,12 +75,11 @@ class ModuleSpec:
     aprime: ScalarExpr | None = None
 
     def __post_init__(self):
-        if self.family is Family.SA:
-            if self.a is None or self.b is None or self.aprime is not None:
-                raise ValueError("SA takes parameters a and b")
-        else:
-            if self.aprime is None or self.a is not None or self.b is not None:
-                raise ValueError(f"{self.family.value} takes the single parameter a'")
+        given = tuple(name for name, field in _FIELDS.items()
+                      if getattr(self, field) is not None)
+        if given != self.family.param_names:
+            raise ValueError(f"{self.family.value} takes the parameters "
+                             f"{', '.join(self.family.param_names)}")
 
     @classmethod
     def sa(cls, a, b):
@@ -85,6 +93,11 @@ class ModuleSpec:
     def sb_prime(cls, aprime):
         return cls(Family.SBPRIME, aprime=aprime)
 
+    @classmethod
+    def of(cls, family, values):
+        """Spec of ``family`` from a mapping of each parameter name to its value."""
+        return cls(family, **{_FIELDS[name]: values[name] for name in family.param_names})
+
     @property
     def x_parity(self) -> Parity:
         return Parity.ODD if self.family is Family.SBPRIME else Parity.EVEN
@@ -94,9 +107,15 @@ class ModuleSpec:
         return Parity.EVEN if self.family is Family.SBPRIME else Parity.ODD
 
     def params(self):
-        if self.family is Family.SA:
-            return {"a": self.a, "b": self.b}
-        return {"a'": self.aprime}
+        return {name: getattr(self, _FIELDS[name]) for name in self.family.param_names}
+
+    def to_dict(self):
+        """Report fields: the family, every parameter and the specialized ones."""
+        params = self.params()
+        return {"family": self.family.value,
+                "params": {k: str(v) for k, v in params.items()},
+                "specialized_params": sorted(k for k, v in params.items()
+                                             if v.is_constant())}
 
 
 @dataclass(frozen=True)
@@ -199,6 +218,8 @@ class SeriesModule:
         gi = g.index
         vi = v.index
         target = gi + vi
+        # L keeps the symbol, G swaps x and y, in every family
+        out_kind = v.kind if g.kind is Kind.L else ("y" if v.kind == "x" else "x")
         fam = self.spec.family
         if fam is Family.SA:
             a, b = self.spec.a, self.spec.b
@@ -207,14 +228,11 @@ class SeriesModule:
                     coeff = a + embed(vi) + embed(gi) * b
                 else:
                     coeff = a + embed(vi) + embed(gi) * (b - Fraction(1, 2))
-                out_kind = v.kind
             else:
                 if v.kind == "x":
                     coeff = cfg.ctx.one
-                    out_kind = "y"
                 else:
                     coeff = a + embed(vi) + embed(gi) * (b - Fraction(1, 2)) * 2
-                    out_kind = "x"
         elif fam is Family.SAPRIME:
             ap = self.spec.aprime
             if g.kind is Kind.L:
@@ -223,42 +241,34 @@ class SeriesModule:
                         coeff = embed(gi) * (embed(gi) + ap)
                     else:
                         coeff = embed(vi) + embed(gi)
-                    out_kind = "x"
                 else:
                     coeff = embed(vi) + embed(gi) * Fraction(1, 2)
-                    out_kind = "y"
             else:
                 if v.kind == "x":
                     if vi.is_zero():
                         coeff = embed(gi) * 2 + ap
                     else:
                         coeff = cfg.ctx.one
-                    out_kind = "y"
                 else:
                     coeff = embed(vi) + embed(gi)
-                    out_kind = "x"
         else:
             ap = self.spec.aprime
             if g.kind is Kind.L:
                 if v.kind == "x":
                     coeff = embed(vi) + embed(gi) * Fraction(1, 2)
-                    out_kind = "x"
                 else:
                     if target.is_zero():
                         coeff = -(embed(gi) * (embed(gi) + ap))
                     else:
                         coeff = embed(vi)
-                    out_kind = "y"
             else:
                 if v.kind == "x":
                     if target.is_zero():
                         coeff = embed(gi) * 2 + ap
                     else:
                         coeff = cfg.ctx.one
-                    out_kind = "y"
                 else:
                     coeff = embed(vi)
-                    out_kind = "x"
         if coeff.is_zero():
             return ModuleVector({})
         return ModuleVector({ModuleBasisVector(out_kind, target): coeff})

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from svir.cli import main
+from svir.cli import Session, main
 
 
 def run(tmp_path, *argv, name="report.json"):
@@ -210,3 +210,78 @@ def test_reports_are_deterministic(tmp_path):
     _, first = run(tmp_path, "jacobi-fuzz", "--radius", "1", name="a.json")
     _, second = run(tmp_path, "jacobi-fuzz", "--radius", "1", name="b.json")
     assert first == second
+
+
+def write_config(tmp_path, config):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("family, names", [
+    (None, ("d1", "d2")),
+    ("SA", ("d1", "d2", "a", "b")),
+    ("SAprime", ("d1", "d2", "a'")),
+    ("SBprime", ("d1", "d2", "a'")),
+])
+def test_session_declares_only_the_indeterminates_the_run_uses(family, names):
+    assert Session({}, family).config.ctx.names == names
+    assert Session({"family": family}).config.ctx.names == names
+    extras = Session({"extra_names": ["t", "a"]}, family).config.ctx.names
+    assert extras == tuple(dict.fromkeys(names + ("t", "a")))
+
+
+def test_family_parameters_are_undeclared_without_a_family(tmp_path, capsys):
+    code, report = run(tmp_path, "bracket", "a*L[1,0]", "L[0,0]")
+    assert code == 2 and report is None
+    assert "unknown indeterminate 'a'" in capsys.readouterr().err
+    config = write_config(tmp_path, {"extra_names": ["a"]})
+    code, report = run(tmp_path, "--config", config, "bracket", "a*L[1,0]", "L[0,0]")
+    assert code == 0
+    assert report["results"][0]["result"] == "-d1*a*L[1,0]"
+
+
+def test_rank_alone_derives_the_other_defaults(tmp_path):
+    config = write_config(tmp_path, {"n": 3})
+    code, report = run(tmp_path, "--config", config, "bracket", "L[1,0,0]", "L[-1,0,0]")
+    assert code == 0
+    assert report["config"]["d_names"] == ["d1", "d2", "d3"]
+    assert report["config"]["sigma"] == ["1/2", "0", "0"]
+    assert report["config"]["radius"] == "2"
+
+
+def test_config_echo_reads_back_as_a_config(tmp_path):
+    _, report = run(tmp_path, "bracket", "L[1,0]", "L[0,0]")
+    assert report["config"]["family"] is None
+    config = write_config(tmp_path, report["config"])
+    _, again = run(tmp_path, "--config", config, "bracket", "L[1,0]", "L[0,0]",
+                   name="again.json")
+    assert again == report
+
+
+@pytest.mark.parametrize("config", [
+    {"n": "2"},
+    {"n": True},
+    {"n": 0},
+    {"sigma": 5},
+    {"d_names": "d1"},
+    {"extra_names": "a"},
+    {"params": ["a"]},
+    {"family": 1},
+    {"output": 1},
+    ["n", 2],
+])
+def test_config_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys, config):
+    code, report = run(tmp_path, "--config", write_config(tmp_path, config),
+                       "bracket", "L[1,0]", "L[0,0]")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_output_fails_before_any_check(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["--output", str(out), "jacobi-fuzz", "--radius", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write the report to {out}")
+    assert not out.exists()

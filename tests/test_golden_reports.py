@@ -1,0 +1,74 @@
+"""Byte-for-byte pins of the JSON reports of cheap default-config commands.
+
+Each digest is the sha256 of the report file the command writes.  A change
+that alters any report byte (a field, its order, a printed scalar) turns
+the matching case red.  The benchmark pins the reports of its own
+workloads; these cover the other commands.
+"""
+
+import hashlib
+
+import pytest
+
+from svir.cli import main
+
+GOLDEN = {
+    "bracket": (
+        ("bracket", "L[1,0]", "L[-1,0]"),
+        "b8112c51312f583e8e212edc875abe5272324b35a0805d0d934242aefaff4aba"),
+    "act-SA": (
+        ("act", "--family", "SA", "L[1,0]", "x[0,1]"),
+        "d84e2098c8c2ba852a6516e3f0e94e61d64a15d77442117d8989aacde30e3177"),
+    "act-SAprime": (
+        ("act", "--family", "SAprime", "G[1/2,0]", "x[0,0]"),
+        "c346b7bed72641be1bc40719e9534cbf029d07a4e2bf7854e9f0d75f8cc39dd4"),
+    "act-SBprime": (
+        ("act", "--family", "SBprime", "L[1,0]", "y[-1,0]"),
+        "3104acff78193f17b93a674bbafe4ee876f25967d6a31fb43be9d7d6f0a56fc9"),
+    "antisym-r1": (
+        ("antisym", "--radius", "1"),
+        "770a3981e8b06839a4ee2b2da31586157422b57377f3e273d0bf537b0306ebac"),
+    "jacobi-fuzz-r1": (
+        ("jacobi-fuzz", "--radius", "1"),
+        "790d8be5852f569562a22442703c2df467461859e8c9d7cc82752929cef75d85"),
+    "rep-fuzz-SA-r1-v1": (
+        ("rep-fuzz", "--family", "SA", "--radius", "1", "--vector-radius", "1"),
+        "aad4df26031b284f7afc11b1ec35302ba8238165c07b47af06485de0cf1c6df9"),
+    "rep-fuzz-SA-r1/2": (
+        ("rep-fuzz", "--family", "SA", "--radius", "1/2"),
+        "8a043c4b85fff919240f90805ce096b9e826e7d61d7dd7566712536d91d3d9f9"),
+    "cone-basis": (
+        ("cone-basis", "--k", "2", "--bound", "6"),
+        "8189ad40ab7818354af8e31751db71138a3ce03883b53d40b9ee00da97144ec1"),
+    "adapted-basis": (
+        ("adapted-basis", "--mu", "[1,2]"),
+        "070a2f47b5d42661145eceab7d0d456e4e4c9100c9a67a02b78dd7a83e2951ad"),
+    "ladder": (
+        ("ladder", "--m", "4"),
+        "74eb5373efef37d29b468a255ed1176be371a1156be8ea7d132e1c0fc132d795"),
+    "iso-check": (
+        ("iso-check", "--m", "[[1]]", "--s", "[1/2]", "--mprime", "[[2]]",
+         "--sprime", "[1]", "--alpha", "2"),
+        "e9a99b76806c08c5fb17e797c85bfb97904c77a61e1424321a7780b7498394f4"),
+    "simplicity-SBprime-r2": (
+        ("simplicity", "--family", "SBprime", "--radius", "2"),
+        "d3bfb4f83af5effa6ea2c4b5e8b35bf6b77f859dbdb64f64f771e2a75ad807c1"),
+    "ghw": (
+        ("ghw", "--family", "SA", "--vector", "x[0,0]", "--k", "1", "--radius", "2"),
+        "9d62ebb41594d88e663acb6b4c087f54a23844a2716758f1427199e4d7fe6244"),
+    "quotient": (
+        ("quotient", "--family", "SBprime", "--seeds", "y[0,0]", "--radius", "2"),
+        "1a4f4b1a83975f7299431995bb76641127aac86dd2813fcf64d7e6fa2228641b"),
+}
+
+
+def report_digest(tmp_path, argv):
+    out = tmp_path / "report.json"
+    main(["--output", str(out), *argv])
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bytes_are_pinned(tmp_path, name):
+    argv, digest = GOLDEN[name]
+    assert report_digest(tmp_path, argv) == digest
