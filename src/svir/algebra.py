@@ -73,7 +73,7 @@ class BasisElt:
 
     def sort_key(self):
         return (_KIND_RANK[self.kind],
-                self.index.coords if self.index is not None else ())
+                self.index.twice if self.index is not None else ())
 
     def __str__(self):
         if self.kind is Kind.C:
@@ -232,7 +232,7 @@ class SuperVirasoro:
                 raise DegenerateFactorError(
                     "a ladder factor vanishes for this specialization")
 
-        l_d = self.L(d.coords)
+        l_d = BasisElt(Kind.L, d)
         prod_l = cfg.ctx.one
         for f in factors_l:
             prod_l = prod_l * f
@@ -262,7 +262,7 @@ class SuperVirasoro:
         n = cfg.n
         flips = adapted.sign_flips
         d_t = [cfg.unit(i).scale(flips[i]) for i in range(n)]
-        mt = [abs(int(c)) for c in mu.coords]
+        mt = [abs(t) // 2 for t in mu.twice]
         e_mu = cfg.embed(mu)
 
         chains = []
@@ -288,7 +288,7 @@ class SuperVirasoro:
             got = self.ad_power(BasisElt(Kind.L, mu), copies, BasisElt(Kind.L, start))
             expected = self.element(BasisElt(Kind.L, target)).scale(product)
             step = start - mu
-            in_a = all(c in (-1, 0, 1) for c in step.coords)
+            in_a = all(abs(t) <= 2 for t in step.twice)
             entries.append(WitnessEntry(row, start, copies, product,
                                         step, in_a, got == expected))
         ok = all(e.step_in_neighborhood and e.bracket_ok for e in entries)

@@ -16,7 +16,7 @@ import sys
 
 from .algebra import (AlgebraElement, BasisElt, CENTRAL,
                       DegenerateFactorError, Kind, SuperVirasoro)
-from .lattice import (AlgebraConfig, LatticeBasis, cone_inclusion_check,
+from .lattice import (AlgebraConfig, LatticeBasis, Parity, cone_inclusion_check,
                       iso_check, nested_cone_basis, unimodular_det)
 from .parse import (parse_element, parse_index, parse_rational,
                     parse_rational_matrix, parse_rational_vector, parse_scalar)
@@ -90,7 +90,7 @@ class Session:
         return {
             "n": self.config.n,
             "d_names": list(self.config.d_names),
-            "sigma": [str(s) for s in self.config.sigma],
+            "sigma": [str(s) for s in self.config.sigma_index.coords],
             "family": self.family,
             "params": {k: str(v) for k, v in self.params.items()},
             "radius": str(self.radius),
@@ -99,8 +99,9 @@ class Session:
 
 def _basis_elements(config, radius):
     """Even, odd and central basis elements inside the box, in fixed order."""
-    return tuple(BasisElt(Kind.L, v) for v in config.even_box(radius)) + \
-        tuple(BasisElt(Kind.G, v) for v in config.odd_box(radius)) + (CENTRAL,)
+    return tuple(BasisElt(kind, v)
+                 for kind, parity in ((Kind.L, Parity.EVEN), (Kind.G, Parity.ODD))
+                 for v in config.box(radius, parity)) + (CENTRAL,)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +206,8 @@ def cmd_rep_fuzz(session, args):
 
 
 def cmd_cone_basis(session, args):
+    if args.bound < 1:
+        raise UsageError(f"--bound {args.bound} checks no combination; it must be at least 1")
     n = session.config.n
     basis = nested_cone_basis(n, args.k)
     det = unimodular_det(basis)
@@ -237,6 +240,8 @@ def cmd_adapted_basis(session, args):
 
 
 def cmd_ladder(session, args):
+    if args.m < 1:
+        raise UsageError(f"--m {args.m} checks no ladder step; it must be at least 1")
     config = session.config
     mu = parse_index(config, args.mu) if args.mu else config.unit(0)
     d = parse_index(config, args.d) if args.d else config.unit(config.n - 1)

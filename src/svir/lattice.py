@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, floor
+from math import floor
 
 from .scalar import ScalarContext, ScalarExpr, as_fraction
 
@@ -41,17 +41,21 @@ class Parity(Enum):
 
 @dataclass(frozen=True)
 class IndexVector:
-    """Half-integer coordinate vector tagged with its parity class."""
+    """Index stored as twice its coordinates (ints on both cosets) and its parity class."""
 
-    coords: tuple
+    twice: tuple
     parity: Parity
 
+    @property
+    def coords(self):
+        return tuple(Fraction(t, 2) for t in self.twice)
+
     def __add__(self, other):
-        return IndexVector(tuple(a + b for a, b in zip(self.coords, other.coords)),
+        return IndexVector(tuple(a + b for a, b in zip(self.twice, other.twice)),
                            self.parity + other.parity)
 
     def __neg__(self):
-        return IndexVector(tuple(-a for a in self.coords), self.parity)
+        return IndexVector(tuple(-a for a in self.twice), self.parity)
 
     def __sub__(self, other):
         return self + (-other)
@@ -59,13 +63,17 @@ class IndexVector:
     def scale(self, m: int):
         if self.parity is not Parity.EVEN:
             raise ParityError("only even index vectors support integer scaling")
-        return IndexVector(tuple(a * m for a in self.coords), Parity.EVEN)
+        return IndexVector(tuple(a * m for a in self.twice), Parity.EVEN)
 
     def is_zero(self):
-        return all(a == 0 for a in self.coords)
+        return not any(self.twice)
 
     def __str__(self):
-        return "[" + ",".join(str(c) for c in self.coords) + "]"
+        return _literal(self.coords)
+
+
+def _literal(coords):
+    return "[" + ",".join(str(c) for c in coords) + "]"
 
 
 class AlgebraConfig:
@@ -81,15 +89,14 @@ class AlgebraConfig:
         d_names = tuple(d_names)
         if len(d_names) != n:
             raise ValueError("need exactly one d-name per rank")
-        sigma = tuple(as_fraction(s) for s in sigma)
-        if len(sigma) != n:
+        twice = tuple(2 * as_fraction(s) for s in sigma)
+        if len(twice) != n:
             raise ValueError("sigma must have one entry per rank")
-        for s in sigma:
-            if (2 * s).denominator != 1:
-                raise ValueError("2*sigma must be integral")
+        if any(t.denominator != 1 for t in twice):
+            raise ValueError("2*sigma must be integral")
         self.n = n
         self.d_names = d_names
-        self.sigma = sigma
+        self.sigma_index = IndexVector(tuple(int(t) for t in twice), Parity.ODD)
         self.ctx = ScalarContext(d_names + tuple(extra_names))
         self._embed_cache = {}
 
@@ -99,12 +106,16 @@ class AlgebraConfig:
         coords = tuple(as_fraction(c) for c in coords)
         if len(coords) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
-        offset = self.sigma if parity is Parity.ODD else (Fraction(0),) * self.n
-        for c, s in zip(coords, offset):
-            if (c - s).denominator != 1:
-                raise ParityError(
-                    f"coordinates {coords} are not in the {parity.value} class")
-        return IndexVector(coords, parity)
+        twice = tuple(2 * c for c in coords)
+        offset = self._offset(parity)
+        if any((t - o) % 2 for t, o in zip(twice, offset)):
+            raise ParityError(
+                f"coordinates {_literal(coords)} are not in the {parity.value} class")
+        return IndexVector(tuple(int(t) for t in twice), parity)
+
+    def _offset(self, parity):
+        """Twice the coset offset of a parity class: 2*sigma or zero."""
+        return self.sigma_index.twice if parity is Parity.ODD else (0,) * self.n
 
     def even(self, coords) -> IndexVector:
         return self.index(coords, Parity.EVEN)
@@ -114,14 +125,10 @@ class AlgebraConfig:
 
     @property
     def zero_index(self) -> IndexVector:
-        return IndexVector((Fraction(0),) * self.n, Parity.EVEN)
-
-    @property
-    def sigma_index(self) -> IndexVector:
-        return IndexVector(self.sigma, Parity.ODD)
+        return IndexVector((0,) * self.n, Parity.EVEN)
 
     def unit(self, i) -> IndexVector:
-        return IndexVector(tuple(Fraction(1 if j == i else 0) for j in range(self.n)),
+        return IndexVector(tuple(2 if j == i else 0 for j in range(self.n)),
                            Parity.EVEN)
 
     # -- scalars -------------------------------------------------------------
@@ -134,33 +141,22 @@ class AlgebraConfig:
 
     def embed(self, v: IndexVector) -> ScalarExpr:
         """Linear embedding sum(c_i * d_i); injective on the half-integer lattice."""
-        cached = self._embed_cache.get(v.coords)
+        cached = self._embed_cache.get(v.twice)
         if cached is None:
             cached = self.ctx.zero
-            for c, name in zip(v.coords, self.d_names):
-                if c:
-                    cached = cached + self.ctx.var(name) * c
-            self._embed_cache[v.coords] = cached
+            for t, name in zip(v.twice, self.d_names):
+                if t:
+                    cached = cached + self.ctx.var(name) * Fraction(t, 2)
+            self._embed_cache[v.twice] = cached
         return cached
 
     # -- finite boxes ----------------------------------------------------------
 
-    def even_box(self, radius):
-        """All even vectors with every |coordinate| <= radius, in lex order."""
-        radius = as_fraction(radius)
-        top = floor(radius)
-        ranges = [range(-top, top + 1)] * self.n
-        return tuple(self.even(c) for c in itertools.product(*ranges))
-
-    def odd_box(self, radius):
-        """All odd vectors with every |coordinate| <= radius, in lex order."""
-        radius = as_fraction(radius)
-        ranges = []
-        for s in self.sigma:
-            lo = ceil(-radius - s)
-            hi = floor(radius - s)
-            ranges.append([s + k for k in range(lo, hi + 1)])
-        return tuple(IndexVector(c, Parity.ODD) for c in itertools.product(*ranges))
+    def box(self, radius, parity):
+        """All vectors of one parity with every |coordinate| <= radius, in lex order."""
+        top = floor(2 * as_fraction(radius))
+        ranges = [range(-top + (top + o) % 2, top + 1, 2) for o in self._offset(parity)]
+        return tuple(IndexVector(t, parity) for t in itertools.product(*ranges))
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +172,11 @@ class LatticeBasis:
 
     def __post_init__(self):
         n = len(self.rows)
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        if any(len(row) != n for row in rows):
+        if any(len(row) != n for row in self.rows):
             raise ValueError("basis matrix must be square")
-        object.__setattr__(self, "rows", rows)
+        if any(as_fraction(x).denominator != 1 for row in self.rows for x in row):
+            raise ValueError(f"basis entries must be integers, got {self}")
+        object.__setattr__(self, "rows", tuple(tuple(int(x) for x in row) for row in self.rows))
 
     @property
     def n(self):
@@ -190,7 +187,7 @@ class LatticeBasis:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def row_vector(self, i) -> IndexVector:
-        return IndexVector(tuple(Fraction(x) for x in self.rows[i]), Parity.EVEN)
+        return IndexVector(tuple(2 * x for x in self.rows[i]), Parity.EVEN)
 
     def __str__(self):
         return "[" + ",".join("[" + ",".join(str(x) for x in r) + "]" for r in self.rows) + "]"
@@ -246,7 +243,6 @@ def _solve_combination(rows, target):
     # columns of the transposed system, augmented with the target
     aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(target[j])]
            for j in range(m)]
-    pivot_rows = []
     r = 0
     for col in range(k):
         pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
@@ -259,7 +255,6 @@ def _solve_combination(rows, target):
             if i != r and aug[i][col] != 0:
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_rows.append(r)
         r += 1
     for i in range(r, m):
         if aug[i][k] != 0:
@@ -345,7 +340,7 @@ def cone_inclusion_check(k, bprime: LatticeBasis, bound) -> ConeInclusionReport:
                     coords[j] += mi * row[j]
         checked += 1
         if any(c < k for c in coords):
-            violations.append((m_prime, tuple(Fraction(c) for c in coords)))
+            violations.append((m_prime, tuple(coords)))
     return ConeInclusionReport(k, bound, checked, tuple(violations),
                                ok=not violations)
 
@@ -381,10 +376,10 @@ def adapted_cone_basis(mu: IndexVector) -> AdaptedBasis:
     """
     if mu.parity is not Parity.EVEN:
         raise ParityError("the adapted basis is built from an even vector")
-    n = len(mu.coords)
+    n = len(mu.twice)
     if n < 2:
         raise ValueError("rank must be at least 2")
-    m = [int(c) for c in mu.coords]
+    m = [t // 2 for t in mu.twice]
     flips = tuple(-1 if mi < 0 else 1 for mi in m)
     mt = [abs(mi) for mi in m]
 
@@ -437,6 +432,8 @@ def iso_check(m_basis, s, mprime_basis, sprime, alpha) -> bool:
     sp = tuple(as_fraction(x) for x in sprime)
     if len(a_rows) != len(ap_rows):
         raise ValueError("lattices must have the same rank")
+    if not a_rows:
+        raise ValueError("the lattices must have positive rank")
     ambient = len(a_rows[0])
     if any(len(r) != ambient for r in a_rows + ap_rows) or len(s) != ambient or len(sp) != ambient:
         raise ValueError("all vectors must share one ambient dimension")

@@ -130,7 +130,7 @@ class ModuleBasisVector:
             raise ValueError("module basis symbols are x and y")
 
     def sort_key(self):
-        return (self.kind, self.index.coords)
+        return (self.kind, self.index.twice)
 
     def __str__(self):
         return f"{self.kind}{self.index}"
@@ -155,7 +155,7 @@ class BoxSpec:
         object.__setattr__(self, "radius", radius)
 
     def contains(self, v: IndexVector) -> bool:
-        return all(abs(c) <= self.radius for c in v.coords)
+        return all(abs(t) <= 2 * self.radius for t in v.twice)
 
 
 class SeriesModule:
@@ -191,12 +191,9 @@ class SeriesModule:
 
     def basis_in_box(self, box: BoxSpec):
         """All basis vectors with index inside the box, x's first, lex order."""
-        xs = (self.config.even_box(box.radius) if self.spec.x_parity is Parity.EVEN
-              else self.config.odd_box(box.radius))
-        ys = (self.config.even_box(box.radius) if self.spec.y_parity is Parity.EVEN
-              else self.config.odd_box(box.radius))
-        return tuple(ModuleBasisVector("x", i) for i in xs) + \
-            tuple(ModuleBasisVector("y", i) for i in ys)
+        return tuple(ModuleBasisVector(kind, i)
+                     for kind, parity in (("x", self.spec.x_parity), ("y", self.spec.y_parity))
+                     for i in self.config.box(box.radius, parity))
 
     # -- the action -------------------------------------------------------------
 
@@ -369,12 +366,9 @@ class SeriesModule:
                 raise ValueError("the vector must lie inside the box")
         if abs(unimodular_det(bprime)) != 1:
             raise ValueError("the cone basis must be unimodular")
-        cfg = self.config
-        reach = 2 * box.radius
         indices = [t.index for t in v.terms]
-
-        def candidates(vectors):
-            for op_index in vectors:
+        for kind, parity in ((Kind.L, Parity.EVEN), (Kind.G, Parity.ODD)):
+            for op_index in self.config.box(2 * box.radius, parity):
                 if op_index.is_zero():
                     continue
                 coords = change_of_coords(op_index, bprime)
@@ -382,16 +376,9 @@ class SeriesModule:
                     continue
                 if any(not box.contains(op_index + i) for i in indices):
                     continue
-                yield op_index
-
-        for mu in candidates(cfg.even_box(reach)):
-            op = BasisElt(Kind.L, mu)
-            if not self.act(op, v).is_zero():
-                return (False, op)
-        for lam in candidates(cfg.odd_box(reach)):
-            op = BasisElt(Kind.G, lam)
-            if not self.act(op, v).is_zero():
-                return (False, op)
+                op = BasisElt(kind, op_index)
+                if not self.act(op, v).is_zero():
+                    return (False, op)
         return (True, None)
 
     def quotient_dims(self, sub, box: BoxSpec):

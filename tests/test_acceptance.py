@@ -19,7 +19,7 @@ import pytest
 
 from svir.algebra import AlgebraElement, CENTRAL, SuperVirasoro
 from svir.cli import _basis_elements
-from svir.lattice import (AlgebraConfig, LatticeBasis, adapted_cone_basis,
+from svir.lattice import (AlgebraConfig, LatticeBasis, Parity, adapted_cone_basis,
                           cone_inclusion_check, iso_check, nested_cone_basis,
                           unimodular_det)
 from svir.repmod import BoxSpec, ModuleSpec, SeriesModule
@@ -198,7 +198,8 @@ def _cone_meets_box(config, bprime, k, box):
     """True when some nonzero level-k cone operator has its target in the box
     (independent enumeration mirroring the probe's candidate set)."""
     from svir.lattice import change_of_coords
-    for v in config.even_box(2 * box.radius) + config.odd_box(2 * box.radius):
+    for v in (config.box(2 * box.radius, Parity.EVEN)
+              + config.box(2 * box.radius, Parity.ODD)):
         if v.is_zero() or not box.contains(v):
             continue
         if all(c >= k for c in change_of_coords(v, bprime)):

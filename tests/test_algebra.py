@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from svir.algebra import (AlgebraElement, BasisElt, CENTRAL,
                           DegenerateFactorError, HomogeneityError, Kind)
-from svir.lattice import AlgebraConfig, ParityError
+from svir.lattice import AlgebraConfig, Parity, ParityError
 from svir.repmod import BoxSpec, ModuleSpec, ModuleVector, SeriesModule
 
 from jacobi_defect import expected_jacobi_residual
@@ -89,8 +89,8 @@ def test_jacobi_residual_zero_except_on_characterized_triples(cfg, sv):
     one-L-two-G triples whose indices sum to zero with a nonzero L index,
     and equals the closed form -(1/3)(mu^3 - mu) c, signed by kind order, on
     them."""
-    elems = [BasisElt(Kind.L, v) for v in cfg.even_box(1)] + \
-        [BasisElt(Kind.G, v) for v in cfg.odd_box(1)] + [CENTRAL]
+    elems = [BasisElt(Kind.L, v) for v in cfg.box(1, Parity.EVEN)] + \
+        [BasisElt(Kind.G, v) for v in cfg.box(1, Parity.ODD)] + [CENTRAL]
     for x, y, z in itertools.product(elems, repeat=3):
         res = sv.super_jacobi_residual(x, y, z)
         assert res.terms == expected_jacobi_residual(cfg, x, y, z), (x, y, z)
@@ -103,8 +103,8 @@ def test_jacobi_requires_homogeneous_inputs(cfg, sv):
 
 
 def test_graded_antisymmetry_and_weight_additivity_box(cfg, sv):
-    elems = [BasisElt(Kind.L, v) for v in cfg.even_box(1)] + \
-        [BasisElt(Kind.G, v) for v in cfg.odd_box(1)] + [CENTRAL]
+    elems = [BasisElt(Kind.L, v) for v in cfg.box(1, Parity.EVEN)] + \
+        [BasisElt(Kind.G, v) for v in cfg.box(1, Parity.ODD)] + [CENTRAL]
     for x, y in itertools.product(elems, repeat=2):
         lhs = sv.bracket_basis(x, y)
         rhs = sv.bracket_basis(y, x)
@@ -234,8 +234,8 @@ def test_basis_elt_validation(cfg):
 
 _CFG = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "b"))
 _SA = SeriesModule(_CFG, ModuleSpec.sa(_CFG.var("a"), _CFG.var("b")))
-_GENERATORS = [BasisElt(Kind.L, v) for v in _CFG.even_box(1)] + \
-    [BasisElt(Kind.G, v) for v in _CFG.odd_box(1)] + [CENTRAL]
+_GENERATORS = [BasisElt(Kind.L, v) for v in _CFG.box(1, Parity.EVEN)] + \
+    [BasisElt(Kind.G, v) for v in _CFG.box(1, Parity.ODD)] + [CENTRAL]
 _VECTORS = list(_SA.basis_in_box(BoxSpec(1)))
 
 

@@ -285,3 +285,38 @@ def test_unwritable_output_fails_before_any_check(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write the report to {out}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_ladder_without_steps_is_a_usage_error(tmp_path, capsys, m):
+    code, report = run(tmp_path, "ladder", "--m", m)
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith(f"error: --m {m} checks no")
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_cone_basis_without_combinations_is_a_usage_error(tmp_path, capsys, bound):
+    code, report = run(tmp_path, "cone-basis", "--k", "1", "--bound", bound)
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith(f"error: --bound {bound} checks no")
+
+
+def test_non_integral_basis_is_a_usage_error(tmp_path, capsys):
+    code, report = run(tmp_path, "ghw", "--family", "SA", "--vector", "x[0,0]",
+                       "--k", "1", "--radius", "2", "--basis", "[[3/2,0],[0,1]]")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error: basis entries must be integers")
+
+
+def test_empty_iso_check_is_a_usage_error(tmp_path, capsys):
+    code, report = run(tmp_path, "iso-check", "--m", "[]", "--s", "[]",
+                       "--mprime", "[]", "--sprime", "[]", "--alpha", "1")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error: the lattices must have positive rank")
+
+
+def test_parity_error_names_the_index_literal(tmp_path, capsys):
+    code, report = run(tmp_path, "ladder", "--m", "2", "--d", "[1/2,0]")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == (
+        "error: coordinates [1/2,0] are not in the even class\n")

@@ -2,12 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svir.lattice import (AlgebraConfig, ConeSpec, LatticeBasis,
                           NonUnimodularError, Parity, ParityError,
                           adapted_cone_basis, change_of_coords,
                           cone_inclusion_check, cone_member, iso_check,
                           nested_cone_basis, unimodular_det)
+from svir.parse import parse_index
 
 HALF = Fraction(1, 2)
 
@@ -20,7 +22,7 @@ def test_embed_examples(cfg):
 
 
 def test_embed_is_injective_on_a_box(cfg):
-    vectors = cfg.even_box(2) + cfg.odd_box(2)
+    vectors = cfg.box(2, Parity.EVEN) + cfg.box(2, Parity.ODD)
     embeds = {cfg.embed(v) for v in vectors}
     assert len(embeds) == len(vectors)
 
@@ -152,7 +154,7 @@ def test_change_of_coords(cfg):
 
 def test_change_of_coords_round_trips_with_embed(cfg):
     bprime = nested_cone_basis(2, 3)
-    for v in cfg.even_box(2) + cfg.odd_box(2):
+    for v in cfg.box(2, Parity.EVEN) + cfg.box(2, Parity.ODD):
         coords = change_of_coords(v, bprime)
         total = cfg.ctx.zero
         for c, i in zip(coords, range(2)):
@@ -200,3 +202,56 @@ def test_index_vector_arithmetic(cfg):
     assert w.parity is Parity.EVEN
     with pytest.raises(ParityError):
         cfg.odd((HALF, 0)).scale(2)
+
+
+def test_basis_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="integers"):
+        LatticeBasis(((Fraction(3, 2), 0), (0, 1)))
+    assert LatticeBasis(((Fraction(2), 0), (0, 1))).rows == ((2, 0), (0, 1))
+
+
+@st.composite
+def _lattice_cases(draw):
+    """A rank, a sigma (possibly zero, where the two cosets coincide), and
+    two indices of random parity given by their Fraction coordinates."""
+    n = draw(st.integers(1, 3))
+    halves = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    sigma = tuple(Fraction(t, 2) for t in draw(st.just([0] * n) | halves))
+    points = []
+    for _ in range(2):
+        parity = draw(st.sampled_from(Parity))
+        offset = sigma if parity is Parity.ODD else (0,) * n
+        shift = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        points.append((tuple(s + k for s, k in zip(offset, shift)), parity))
+    return n, sigma, points
+
+
+@given(_lattice_cases(), st.integers(-3, 3), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_index_vectors_agree_with_fraction_coordinates(case, m, twice_radius):
+    n, sigma, ((cu, pu), (cv, pv)) = case
+    cfg = AlgebraConfig(n, [f"d{i + 1}" for i in range(n)], sigma)
+    assert cfg.sigma_index.coords == sigma
+    u, v = cfg.index(cu, pu), cfg.index(cv, pv)
+    assert u.coords == cu and v.coords == cv
+    with pytest.raises(ParityError):
+        cfg.index((cu[0] + HALF,) + cu[1:], pu)
+    assert parse_index(cfg, str(u), pu) == u
+    total, diff = u + v, u - v
+    assert total.coords == tuple(a + b for a, b in zip(cu, cv))
+    assert diff.coords == tuple(a - b for a, b in zip(cu, cv))
+    assert total.parity is diff.parity is pu + pv
+    assert cfg.index(total.coords, total.parity) == total
+    assert cfg.index(diff.coords, diff.parity) == diff
+    if pu is Parity.EVEN:
+        assert u.scale(m).coords == tuple(m * a for a in cu)
+
+    radius = Fraction(twice_radius, 2)
+    grid = [Fraction(k, 2) for k in range(-twice_radius, twice_radius + 1)]
+    for parity in Parity:
+        offset = sigma if parity is Parity.ODD else (0,) * n
+        expected = [c for c in itertools.product(grid, repeat=n)
+                    if all((x - s).denominator == 1 for x, s in zip(c, offset))]
+        box = cfg.box(radius, parity)
+        assert [w.coords for w in box] == expected
+        assert all(w.parity is parity for w in box)
