@@ -289,8 +289,11 @@ def cmd_ghw(session, args):
     v = parse_element(session.config, args.vector, spec=module.spec)
     if not isinstance(v, ModuleVector):
         raise UsageError("ghw expects a module vector")
+    n = session.config.n
     basis = (LatticeBasis(parse_rational_matrix(args.basis)) if args.basis
-             else LatticeBasis.identity(session.config.n))
+             else LatticeBasis.identity(n))
+    if basis.n != n:
+        raise UsageError(f"--basis {basis} has rank {basis.n}; the session has rank {n}")
     annihilated, witness = module.ghw_probe(v, basis, args.k, BoxSpec(radius))
     results = [{"check": "ghw_probe", "status": "info",
                 "vector": str(v), "k": args.k,

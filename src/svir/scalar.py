@@ -13,6 +13,7 @@ shared freely between threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,10 +130,16 @@ class PolyExact:
     def mul(self, other):
         if not self.terms or not other.terms:
             return PolyExact({})
+        if len(other.terms) == 1 and not any(next(iter(other.terms))):
+            self, other = other, self
+        if len(self.terms) == 1 and not any(next(iter(self.terms))):
+            (c,) = self.terms.values()
+            return other if c == 1 else other.scale(c)
+        add = operator.add
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 acc = terms.get(e, _ZERO) + c1 * c2
                 if acc:
                     terms[e] = acc
@@ -383,7 +390,10 @@ class ScalarExpr:
     """Element of the rational-function field, always in canonical form.
 
     Canonical form: gcd(num, den) = 1, den monic in the lex order, and zero
-    is 0/1.  Equal functions therefore compare structurally equal.
+    is 0/1.  Equal functions therefore compare structurally equal.  A
+    constant den is always the context's shared ``_poly_one`` object, so a
+    polynomial is recognised by identity and + and * on two polynomials
+    skip make().
     """
 
     __slots__ = ("ctx", "num", "den", "_hash")
@@ -401,19 +411,17 @@ class ScalarExpr:
             raise ScalarDivisionError("zero denominator")
         if num.is_zero():
             return ctx.zero
-        if den.is_constant():
-            c = den.constant_value()
-            if c == 1:
-                return ScalarExpr(ctx, num, ctx._poly_one)
-            return ScalarExpr(ctx, num.scale(1 / c), ctx._poly_one)
-        g = poly_gcd(num, den)
-        if not (g.is_constant() and g.constant_value() == 1):
-            num = divexact(num, g)
-            den = divexact(den, g)
+        if not den.is_constant():
+            g = poly_gcd(num, den)
+            if not (g.is_constant() and g.constant_value() == 1):
+                num = divexact(num, g)
+                den = divexact(den, g)
         lc = den.leading_coeff()
         if lc != 1:
             num = num.scale(1 / lc)
             den = den.scale(1 / lc)
+        if den.is_constant():
+            den = ctx._poly_one
         return ScalarExpr(ctx, num, den)
 
     # -- predicates ---------------------------------------------------------
@@ -441,6 +449,9 @@ class ScalarExpr:
 
     def __add__(self, other):
         other = self._coerce(other)
+        one = self.ctx._poly_one
+        if self.den is one and other.den is one:
+            return ScalarExpr(self.ctx, self.num.add(other.num), one)
         if self.den is other.den or self.den == other.den:
             return ScalarExpr.make(self.ctx, self.num.add(other.num), self.den)
         num = self.num.mul(other.den).add(other.num.mul(self.den))
@@ -461,6 +472,9 @@ class ScalarExpr:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        one = self.ctx._poly_one
+        if self.den is one and other.den is one:
+            return ScalarExpr(self.ctx, self.num.mul(other.num), one)
         return ScalarExpr.make(self.ctx, self.num.mul(other.num), self.den.mul(other.den))
 
     def __rmul__(self, other):

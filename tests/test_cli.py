@@ -308,6 +308,16 @@ def test_non_integral_basis_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: basis entries must be integers")
 
 
+@pytest.mark.parametrize("basis, rank", [("[]", 0), ("[[1]]", 1),
+                                         ("[[1,0,0],[0,1,0],[0,0,1]]", 3)])
+def test_ghw_basis_of_the_wrong_rank_is_a_usage_error(tmp_path, capsys, basis, rank):
+    code, report = run(tmp_path, "ghw", "--family", "SA", "--vector", "x[0,0]",
+                       "--k", "1", "--radius", "1", "--basis", basis)
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == (
+        f"error: --basis {basis} has rank {rank}; the session has rank 2\n")
+
+
 def test_empty_iso_check_is_a_usage_error(tmp_path, capsys):
     code, report = run(tmp_path, "iso-check", "--m", "[]", "--s", "[]",
                        "--mprime", "[]", "--sprime", "[]", "--alpha", "1")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svir.scalar import (EvaluationError, PolyExact, ScalarContext,
-                         ScalarDivisionError, divexact, poly_gcd)
+                         ScalarDivisionError, ScalarExpr, divexact, poly_gcd)
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +175,62 @@ def test_poly_gcd_divides_common_factor(x, y, z):
     divexact(g, d)
     divexact(d, poly_gcd(d, common))
     assert poly_gcd(d, common) == common.monic()
+
+
+# -- polynomial fast paths ------------------------------------------------------
+
+def _reference_mul(p, q):
+    """Schoolbook product over every pair of terms, with no shortcut."""
+    return PolyExact.from_terms(
+        (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        for e1, c1 in p.terms.items() for e2, c2 in q.terms.items())
+
+
+@given(scalars(), st.fractions(max_denominator=4).filter(bool), scalars())
+@settings(max_examples=60, deadline=None)
+def test_poly_mul_matches_the_double_loop(x, c, y):
+    p, q = x.num, y.num
+    assert p.mul(q).terms == _reference_mul(p, q).terms
+    for value in (c, 1, -1):
+        const = PolyExact.constant(value, _CTX.nvars)
+        for a, b in ((p, const), (const, p), (const, const)):
+            assert a.mul(b).terms == _reference_mul(a, b).terms
+
+
+@st.composite
+def polys_and_fractions(draw):
+    """A polynomial, or a quotient whose common factor make() must cancel."""
+    num = draw(scalars())
+    if draw(st.booleans()):
+        return num
+    den, common = draw(scalars()), draw(scalars())
+    if den.is_zero() or common.is_zero():
+        return num
+    return (num * common) / (den * common)
+
+
+def test_cancelled_denominator_is_the_shared_constant(ctx):
+    d1 = ctx.var("d1")
+    for q, value in (((d1 * d1) / d1, d1), ((2 * d1) / (4 * d1), ctx.scalar(Fraction(1, 2))),
+                     ((d1 - 1) / (1 - d1), ctx.scalar(-1))):
+        assert q == value
+        assert q.den is ctx._poly_one
+
+
+@given(polys_and_fractions(), polys_and_fractions())
+@settings(max_examples=80, deadline=None)
+def test_sums_and_products_match_the_textbook_formulas(x, y):
+    textbook = {
+        "*": (_reference_mul(x.num, y.num), _reference_mul(x.den, y.den)),
+        "+": (_reference_mul(x.num, y.den).add(_reference_mul(y.num, x.den)),
+              _reference_mul(x.den, y.den)),
+        "-": (_reference_mul(x.num, y.den).sub(_reference_mul(y.num, x.den)),
+              _reference_mul(x.den, y.den)),
+    }
+    got = {"*": x * y, "+": x + y, "-": x - y}
+    for op, (num, den) in textbook.items():
+        want = ScalarExpr.make(_CTX, num, den)
+        assert (got[op].num.terms, got[op].den.terms) == (want.num.terms, want.den.terms), op
+    results = [x, y, *got.values()] + ([x / y] if y else [])
+    for r in results:
+        assert r.den is _CTX._poly_one or not r.den.is_constant()
