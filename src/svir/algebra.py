@@ -25,18 +25,14 @@ from fractions import Fraction
 from .formal import FormalSum
 from .lattice import (AlgebraConfig, IndexVector, Parity, ParityError,
                       adapted_cone_basis)
-from .scalar import ScalarExpr
+from .scalar import InputError, ScalarExpr
 
 
-class AlgebraError(Exception):
-    pass
-
-
-class HomogeneityError(AlgebraError):
+class HomogeneityError(InputError):
     """An operation requires parity-homogeneous arguments."""
 
 
-class DegenerateFactorError(AlgebraError):
+class DegenerateFactorError(InputError):
     """A ladder or witness scalar factor vanished (degenerate specialization)."""
 
 
@@ -59,7 +55,7 @@ class BasisElt:
     def __post_init__(self):
         if self.kind is Kind.C:
             if self.index is not None:
-                raise ValueError("the central element carries no index")
+                raise InputError("the central element carries no index")
         elif self.kind is Kind.L:
             if self.index is None or self.index.parity is not Parity.EVEN:
                 raise ParityError("L requires an even index")
@@ -199,7 +195,7 @@ class SuperVirasoro:
     def ad_power(self, x, m: int, y) -> AlgebraElement:
         """m-fold left bracket with x; m = 0 returns y unchanged."""
         if m < 0:
-            raise ValueError("ad power needs a nonnegative exponent")
+            raise InputError("ad power needs a nonnegative exponent")
         out = self.element(y)
         for _ in range(m):
             out = self.bracket(x, out)
@@ -214,7 +210,7 @@ class SuperVirasoro:
         both recovered generators match after dividing out the products.
         """
         if m < 1:
-            raise ValueError("m must be positive")
+            raise InputError("m must be positive")
         if d.parity is not Parity.EVEN:
             raise ParityError("the ladder steps by an even index")
         if mu.parity is not Parity.EVEN:
@@ -230,7 +226,7 @@ class SuperVirasoro:
         for f in factors_l + factors_g:
             if f.is_zero():
                 raise DegenerateFactorError(
-                    "a ladder factor vanishes for this specialization")
+                    "a ladder factor vanishes for this degenerate specialization")
 
         l_d = BasisElt(Kind.L, d)
         prod_l = cfg.ctx.one

@@ -2,8 +2,11 @@
 
 Every run echoes its command and configuration, writes a JSON report with a
 stable schema version, prints a human-readable summary, and exits 0 when
-all checks pass, 1 on any failed identity, 2 on usage errors.  Enumeration
-order is fixed, so reports are deterministic for a fixed configuration.
+all checks pass and 1 on any failed identity.  ``main`` is the one error
+boundary: bad input (an ``InputError`` from any layer, or an unreadable
+file) exits 2 and any other exception is an internal error that exits 3;
+both print one line on stderr and write no report.  Enumeration order is
+fixed, so reports are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -14,13 +17,13 @@ import json
 import os
 import sys
 
-from .algebra import (AlgebraElement, BasisElt, CENTRAL,
-                      DegenerateFactorError, Kind, SuperVirasoro)
+from .algebra import AlgebraElement, BasisElt, CENTRAL, Kind, SuperVirasoro
 from .lattice import (AlgebraConfig, LatticeBasis, Parity, cone_inclusion_check,
                       iso_check, nested_cone_basis, unimodular_det)
 from .parse import (parse_element, parse_index, parse_rational,
                     parse_rational_matrix, parse_rational_vector, parse_scalar)
 from .repmod import BoxSpec, Family, ModuleSpec, ModuleVector, SeriesModule
+from .scalar import InputError
 
 SCHEMA_VERSION = 1
 
@@ -30,23 +33,22 @@ _CONFIG_TYPES = {"n": int, "d_names": list, "sigma": list, "extra_names": list,
 _TYPE_NAMES = {int: "an integer", list: "a list", str: "a string", dict: "an object"}
 
 
-class UsageError(Exception):
-    pass
-
-
 class Session:
     """Configuration shared by one CLI invocation: defaults derived from n,
     the run's family resolved once, and only the indeterminates it uses."""
 
     def __init__(self, raw: dict, family=None):
         if not isinstance(raw, dict):
-            raise UsageError("the configuration must be a JSON object")
+            raise InputError("the configuration must be a JSON object")
         raw = {k: v for k, v in raw.items() if v is not None}
         for key, kind in _CONFIG_TYPES.items():
             value = raw.get(key)
             if key in raw and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise UsageError(f"config {key!r} must be {_TYPE_NAMES[kind]}, "
+                raise InputError(f"config {key!r} must be {_TYPE_NAMES[kind]}, "
                                  f"not {value!r}")
+        for key in ("d_names", "extra_names"):
+            if not all(isinstance(name, str) for name in raw.get(key, ())):
+                raise InputError(f"config {key!r} must list strings, not {raw[key]!r}")
         self.raw = raw
         n = raw.get("n", 2)
         d_names = raw.get("d_names") or [f"d{i+1}" for i in range(n)]
@@ -58,21 +60,21 @@ class Session:
         try:
             self.run_family = Family(name) if name else None
         except ValueError:
-            raise UsageError(f"unknown family {name!r}; choose from "
+            raise InputError(f"unknown family {name!r}; choose from "
                              f"{[f.value for f in Family]}") from None
         names = self.run_family.param_names if self.run_family else ()
         try:
             extra = tuple(dict.fromkeys(names + tuple(raw.get("extra_names", ()))))
             self.config = AlgebraConfig(n, d_names, sigma, extra_names=extra)
-        except Exception as exc:
-            raise UsageError(f"bad configuration: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"bad configuration: {exc}") from None
         self.radius = self.resolve_radius(None)
         self.output = raw.get("output")
 
     def module(self) -> SeriesModule:
         family = self.run_family
         if family is None:
-            raise UsageError("this command needs a module family "
+            raise InputError("this command needs a module family "
                              "(--family or the config file)")
         values = {name: parse_scalar(self.config.ctx, str(self.params.get(name, name)))
                   for name in family.param_names}
@@ -83,7 +85,7 @@ class Session:
         text = text or str(self.raw.get("radius", 2))
         radius = parse_rational(text)
         if radius < 0 or (2 * radius).denominator != 1:
-            raise UsageError(f"radius {text} is not 0 or a positive multiple of 1/2")
+            raise InputError(f"radius {text} is not 0 or a positive multiple of 1/2")
         return radius
 
     def echo(self):
@@ -114,7 +116,7 @@ def cmd_bracket(session, args):
     x = parse_element(session.config, args.x)
     y = parse_element(session.config, args.y)
     if not isinstance(x, AlgebraElement) or not isinstance(y, AlgebraElement):
-        raise UsageError("bracket expects algebra elements")
+        raise InputError("bracket expects algebra elements")
     out = sv.bracket(x, y)
     line = f"[{x}, {y}] = {out}"
     return [{"check": "bracket", "status": "info", "result": str(out)}], [line]
@@ -125,7 +127,7 @@ def cmd_act(session, args):
     g = parse_element(session.config, args.element)
     v = parse_element(session.config, args.vector, spec=module.spec)
     if not isinstance(g, AlgebraElement) or not isinstance(v, ModuleVector):
-        raise UsageError("act expects an algebra element and a module vector")
+        raise InputError("act expects an algebra element and a module vector")
     out = module.act(g, v)
     line = f"({g}) . ({v}) = {out}"
     return [{"check": "act", "status": "info", "result": str(out)}], [line]
@@ -207,7 +209,7 @@ def cmd_rep_fuzz(session, args):
 
 def cmd_cone_basis(session, args):
     if args.bound < 1:
-        raise UsageError(f"--bound {args.bound} checks no combination; it must be at least 1")
+        raise InputError(f"--bound {args.bound} checks no combination; it must be at least 1")
     n = session.config.n
     basis = nested_cone_basis(n, args.k)
     det = unimodular_det(basis)
@@ -241,7 +243,7 @@ def cmd_adapted_basis(session, args):
 
 def cmd_ladder(session, args):
     if args.m < 1:
-        raise UsageError(f"--m {args.m} checks no ladder step; it must be at least 1")
+        raise InputError(f"--m {args.m} checks no ladder step; it must be at least 1")
     config = session.config
     mu = parse_index(config, args.mu) if args.mu else config.unit(0)
     d = parse_index(config, args.d) if args.d else config.unit(config.n - 1)
@@ -288,12 +290,12 @@ def cmd_ghw(session, args):
     module = session.module()
     v = parse_element(session.config, args.vector, spec=module.spec)
     if not isinstance(v, ModuleVector):
-        raise UsageError("ghw expects a module vector")
+        raise InputError("ghw expects a module vector")
     n = session.config.n
     basis = (LatticeBasis(parse_rational_matrix(args.basis)) if args.basis
              else LatticeBasis.identity(n))
     if basis.n != n:
-        raise UsageError(f"--basis {basis} has rank {basis.n}; the session has rank {n}")
+        raise InputError(f"--basis {basis} has rank {basis.n}; the session has rank {n}")
     annihilated, witness = module.ghw_probe(v, basis, args.k, BoxSpec(radius))
     results = [{"check": "ghw_probe", "status": "info",
                 "vector": str(v), "k": args.k,
@@ -314,7 +316,7 @@ def cmd_quotient(session, args):
     if args.seeds:
         parsed = parse_element(session.config, args.seeds, spec=module.spec)
         if not isinstance(parsed, ModuleVector):
-            raise UsageError("quotient seeds must be module basis vectors")
+            raise InputError("quotient seeds must be module basis vectors")
         seeds = list(parsed.terms)
     sub = module.closure(seeds, box) if seeds else frozenset()
     rows = module.quotient_dims(sub, box)
@@ -431,13 +433,16 @@ def main(argv=None) -> int:
         raw = {}
         if getattr(args, "config", None):
             with open(args.config) as fh:
-                raw = json.load(fh)
+                try:
+                    raw = json.load(fh)
+                except (ValueError, RecursionError) as exc:
+                    raise InputError(f"config {args.config} is not JSON: {exc}") from None
         session = Session(raw, getattr(args, "family", None))
         output = getattr(args, "output", None) or session.output or "report.json"
         directory = os.path.dirname(os.path.abspath(output))
         if os.path.isdir(output) or not (os.path.isdir(directory)
                                          and os.access(directory, os.W_OK)):
-            raise UsageError(f"cannot write the report to {output}")
+            raise InputError(f"cannot write the report to {output}")
         results, lines = args.handler(session, args)
         passed = all(r["status"] != "fail" for r in results)
         report = {
@@ -450,12 +455,12 @@ def main(argv=None) -> int:
         with open(output, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except DegenerateFactorError as exc:
-        print(f"degenerate check: {exc}", file=sys.stderr)
-        return 1
-    except (UsageError, ValueError, KeyError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     for line in lines:
         print(line)

@@ -16,18 +16,14 @@ from enum import Enum
 from fractions import Fraction
 from math import floor
 
-from .scalar import ScalarContext, ScalarExpr, as_fraction
+from .scalar import InputError, ScalarContext, ScalarExpr, as_fraction
 
 
-class LatticeError(Exception):
-    pass
-
-
-class ParityError(LatticeError):
+class ParityError(InputError):
     """Coordinates do not match the declared parity class."""
 
 
-class NonUnimodularError(LatticeError):
+class NonUnimodularError(InputError):
     """A matrix used as a lattice basis must have determinant +-1."""
 
 
@@ -85,15 +81,15 @@ class AlgebraConfig:
 
     def __init__(self, n, d_names, sigma, extra_names=()):
         if n < 1:
-            raise ValueError("rank must be positive")
+            raise InputError("rank must be positive")
         d_names = tuple(d_names)
         if len(d_names) != n:
-            raise ValueError("need exactly one d-name per rank")
+            raise InputError("need exactly one d-name per rank")
         twice = tuple(2 * as_fraction(s) for s in sigma)
         if len(twice) != n:
-            raise ValueError("sigma must have one entry per rank")
+            raise InputError("sigma must have one entry per rank")
         if any(t.denominator != 1 for t in twice):
-            raise ValueError("2*sigma must be integral")
+            raise InputError("2*sigma must be integral")
         self.n = n
         self.d_names = d_names
         self.sigma_index = IndexVector(tuple(int(t) for t in twice), Parity.ODD)
@@ -105,7 +101,7 @@ class AlgebraConfig:
     def index(self, coords, parity) -> IndexVector:
         coords = tuple(as_fraction(c) for c in coords)
         if len(coords) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
+            raise InputError(f"expected {self.n} coordinates, got {len(coords)}")
         twice = tuple(2 * c for c in coords)
         offset = self._offset(parity)
         if any((t - o) % 2 for t, o in zip(twice, offset)):
@@ -173,9 +169,9 @@ class LatticeBasis:
     def __post_init__(self):
         n = len(self.rows)
         if any(len(row) != n for row in self.rows):
-            raise ValueError("basis matrix must be square")
+            raise InputError("basis matrix must be square")
         if any(as_fraction(x).denominator != 1 for row in self.rows for x in row):
-            raise ValueError(f"basis entries must be integers, got {self}")
+            raise InputError(f"basis entries must be integers, got {self}")
         object.__setattr__(self, "rows", tuple(tuple(int(x) for x in row) for row in self.rows))
 
     @property
@@ -204,7 +200,7 @@ class ConeSpec:
 
     def __post_init__(self):
         if self.k < 0:
-            raise ValueError("cone level k must be nonnegative")
+            raise InputError("cone level k must be nonnegative")
 
 
 def unimodular_det(basis: LatticeBasis) -> int:
@@ -236,7 +232,7 @@ def _solve_combination(rows, target):
     """Solve sum x_i * rows[i] = target over Q.
 
     Returns the coefficient list, or None when target is outside the row
-    span.  Raises ValueError if the rows are linearly dependent.
+    span.  Raises InputError if the rows are linearly dependent.
     """
     k = len(rows)
     m = len(target)
@@ -247,7 +243,7 @@ def _solve_combination(rows, target):
     for col in range(k):
         pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
         if pivot is None:
-            raise ValueError("basis rows must be linearly independent")
+            raise InputError("basis rows must be linearly independent")
         aug[r], aug[pivot] = aug[pivot], aug[r]
         pv = aug[r][col]
         aug[r] = [x / pv for x in aug[r]]
@@ -277,7 +273,7 @@ def cone_member(v: IndexVector, cone: ConeSpec) -> bool:
     coords = change_of_coords(v, cone.basis)
     for c in coords:
         if (2 * c).denominator != 1:
-            raise LatticeError("cone coordinates must be half-integral")
+            raise ValueError("cone coordinates must be half-integral")
     return all(c >= cone.k for c in coords)
 
 
@@ -294,9 +290,9 @@ def nested_cone_basis(n, k) -> LatticeBasis:
     it would be k+1, so rank 1 is rejected).
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise InputError("k must be nonnegative")
     if n < 2:
-        raise ValueError("rank must be at least 2")
+        raise InputError("rank must be at least 2")
     rows = []
     for i in range(1, n + 1):
         row = [(k + i - j + 1) if j <= i else k for j in range(1, n + 1)]
@@ -378,7 +374,7 @@ def adapted_cone_basis(mu: IndexVector) -> AdaptedBasis:
         raise ParityError("the adapted basis is built from an even vector")
     n = len(mu.twice)
     if n < 2:
-        raise ValueError("rank must be at least 2")
+        raise InputError("rank must be at least 2")
     m = [t // 2 for t in mu.twice]
     flips = tuple(-1 if mi < 0 else 1 for mi in m)
     mt = [abs(mi) for mi in m]
@@ -425,18 +421,18 @@ def iso_check(m_basis, s, mprime_basis, sprime, alpha) -> bool:
     """
     alpha = as_fraction(alpha)
     if alpha == 0:
-        raise ValueError("alpha must be nonzero")
+        raise InputError("alpha must be nonzero")
     a_rows = [tuple(as_fraction(x) for x in row) for row in m_basis]
     ap_rows = [tuple(as_fraction(x) for x in row) for row in mprime_basis]
     s = tuple(as_fraction(x) for x in s)
     sp = tuple(as_fraction(x) for x in sprime)
     if len(a_rows) != len(ap_rows):
-        raise ValueError("lattices must have the same rank")
+        raise InputError("lattices must have the same rank")
     if not a_rows:
-        raise ValueError("the lattices must have positive rank")
+        raise InputError("the lattices must have positive rank")
     ambient = len(a_rows[0])
     if any(len(r) != ambient for r in a_rows + ap_rows) or len(s) != ambient or len(sp) != ambient:
-        raise ValueError("all vectors must share one ambient dimension")
+        raise InputError("all vectors must share one ambient dimension")
 
     scaled = [tuple(alpha * x for x in row) for row in a_rows]
     transition = []

@@ -15,10 +15,10 @@ from fractions import Fraction
 from .algebra import AlgebraElement, BasisElt, CENTRAL, Kind
 from .lattice import AlgebraConfig, Parity
 from .repmod import ModuleBasisVector, ModuleSpec, ModuleVector
-from .scalar import ScalarContext, ScalarExpr
+from .scalar import InputError, ScalarContext, ScalarExpr
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Syntax or parity error, with the offending position."""
 
     def __init__(self, message, text=None, pos=None):
@@ -143,7 +143,7 @@ class _ScalarParser:
             try:
                 return self.ctx.var(value)
             except KeyError as exc:
-                raise ParseError(str(exc), self.text, pos) from None
+                raise ParseError(exc.args[0], self.text, pos) from None
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -152,7 +152,12 @@ class _ScalarParser:
 
 
 def parse_scalar(ctx: ScalarContext, text: str) -> ScalarExpr:
-    return _ScalarParser(ctx, text).parse()
+    parser = _ScalarParser(ctx, text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        pos = parser.tokens[min(parser.i, len(parser.tokens) - 1)][2]
+        raise ParseError("expression nested too deeply", text, pos) from None
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +214,7 @@ def parse_index(config: AlgebraConfig, text: str, parity: Parity = Parity.EVEN):
     coords = parse_rational_vector(text)
     try:
         return config.index(coords, parity)
-    except Exception as exc:
+    except InputError as exc:
         raise ParseError(str(exc)) from None
 
 
@@ -295,20 +300,17 @@ def parse_element(config: AlgebraConfig, text: str, spec: ModuleSpec = None):
         coords = tuple(parse_rational(p) for p in _split_top_level(m.group(2)))
         if symbol in "LG":
             parity = Parity.EVEN if symbol == "L" else Parity.ODD
-            try:
-                index = config.index(coords, parity)
-            except Exception as exc:
-                raise ParseError(str(exc), text, offset) from None
-            kind = Kind.L if symbol == "L" else Kind.G
-            algebra_terms.append((BasisElt(kind, index), coeff))
+        elif spec is None:
+            raise ParseError("module symbols need a module family", text, offset)
         else:
-            if spec is None:
-                raise ParseError("module symbols need a module family", text, offset)
             parity = spec.x_parity if symbol == "x" else spec.y_parity
-            try:
-                index = config.index(coords, parity)
-            except Exception as exc:
-                raise ParseError(str(exc), text, offset) from None
+        try:
+            index = config.index(coords, parity)
+        except InputError as exc:
+            raise ParseError(str(exc), text, offset) from None
+        if symbol in "LG":
+            algebra_terms.append((BasisElt(Kind(symbol), index), coeff))
+        else:
             module_terms.append((ModuleBasisVector(symbol, index), coeff))
     if algebra_terms and module_terms:
         raise ParseError("cannot mix algebra and module symbols", text, 0)

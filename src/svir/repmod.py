@@ -35,18 +35,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .algebra import BasisElt, Kind, SuperVirasoro
+from .algebra import BasisElt, HomogeneityError, Kind, SuperVirasoro
 from .formal import FormalSum
 from .lattice import (AlgebraConfig, IndexVector, LatticeBasis, Parity,
                       ParityError, change_of_coords, unimodular_det)
-from .scalar import ScalarExpr, as_fraction
+from .scalar import InputError, ScalarExpr, as_fraction
 
 
-class ModuleError(Exception):
-    pass
-
-
-class InvariantError(ModuleError):
+class InvariantError(InputError):
     """A subset claimed to be closure-invariant is not."""
 
 
@@ -78,7 +74,7 @@ class ModuleSpec:
         given = tuple(name for name, field in _FIELDS.items()
                       if getattr(self, field) is not None)
         if given != self.family.param_names:
-            raise ValueError(f"{self.family.value} takes the parameters "
+            raise InputError(f"{self.family.value} takes the parameters "
                              f"{', '.join(self.family.param_names)}")
 
     @classmethod
@@ -127,7 +123,7 @@ class ModuleBasisVector:
 
     def __post_init__(self):
         if self.kind not in ("x", "y"):
-            raise ValueError("module basis symbols are x and y")
+            raise InputError("module basis symbols are x and y")
 
     def sort_key(self):
         return (self.kind, self.index.twice)
@@ -149,9 +145,9 @@ class BoxSpec:
     def __post_init__(self):
         radius = as_fraction(self.radius)
         if radius < 1:
-            raise ValueError("the box radius must be at least 1")
+            raise InputError("the box radius must be at least 1")
         if (2 * radius).denominator != 1:
-            raise ValueError("the box radius must be a half-integer")
+            raise InputError("the box radius must be a half-integer")
         object.__setattr__(self, "radius", radius)
 
     def contains(self, v: IndexVector) -> bool:
@@ -286,7 +282,7 @@ class SeriesModule:
         v = self.vector(v)
         pu, pw = u.parity(), w.parity()
         if pu is None or pw is None:
-            raise ValueError("the module axiom check needs homogeneous generators")
+            raise HomogeneityError("the module axiom check needs homogeneous generators")
         cross = self.act(w, self.act(u, v))
         return ModuleVector.sum((self.act(self.algebra.bracket(u, w), v),
                                  -self.act(u, self.act(w, v)),
@@ -314,7 +310,7 @@ class SeriesModule:
         for s in seeds:
             self._check_vector(s)
             if not box.contains(s.index):
-                raise ValueError(f"seed {s} lies outside the box")
+                raise InputError(f"seed {s} lies outside the box")
         targets = self.basis_in_box(box)
         current = set(seeds)
         frontier = list(seeds)
@@ -357,15 +353,15 @@ class SeriesModule:
         order) is returned as the counterexample.
         """
         if k < 0:
-            raise ValueError("k must be nonnegative")
+            raise InputError("k must be nonnegative")
         v = self.vector(v)
         if v.is_zero():
-            raise ValueError("the probe needs a nonzero vector")
+            raise InputError("the probe needs a nonzero vector")
         for term in v.terms:
             if not box.contains(term.index):
-                raise ValueError("the vector must lie inside the box")
+                raise InputError("the vector must lie inside the box")
         if abs(unimodular_det(bprime)) != 1:
-            raise ValueError("the cone basis must be unimodular")
+            raise InputError("the cone basis must be unimodular")
         indices = [t.index for t in v.terms]
         for kind, parity in ((Kind.L, Parity.EVEN), (Kind.G, Parity.ODD)):
             for op_index in self.config.box(2 * box.radius, parity):
@@ -390,7 +386,7 @@ class SeriesModule:
         for s in sub:
             self._check_vector(s)
             if s not in full:
-                raise ValueError(f"{s} is not an in-box basis vector")
+                raise InputError(f"{s} is not an in-box basis vector")
         if self.closure(sub, box) != frozenset(sub):
             raise InvariantError("the subset is not closure-invariant in the box")
         rows = []

@@ -24,15 +24,15 @@ _ONE = Fraction(1)
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
 
 
-class ScalarError(Exception):
-    pass
+class InputError(ValueError):
+    """Bad input: the one exception the CLI reports as a usage error (exit 2)."""
 
 
-class ScalarDivisionError(ScalarError, ZeroDivisionError):
+class ScalarDivisionError(InputError, ZeroDivisionError):
     """Division by the zero rational function."""
 
 
-class EvaluationError(ScalarError):
+class EvaluationError(InputError):
     """Evaluation failed: unassigned indeterminate or vanishing denominator."""
 
 
@@ -348,10 +348,10 @@ class ScalarContext:
     def __init__(self, names):
         names = tuple(names)
         if len(set(names)) != len(names):
-            raise ValueError("indeterminate names must be unique")
+            raise InputError("indeterminate names must be unique")
         for name in names:
             if not _NAME_RE.match(name):
-                raise ValueError(f"invalid indeterminate name {name!r}")
+                raise InputError(f"invalid indeterminate name {name!r}")
         self.indeterminates = tuple(Indeterminate(n, i) for i, n in enumerate(names))
         self.names = names
         self._by_name = {n: i for i, n in enumerate(names)}

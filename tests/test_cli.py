@@ -119,7 +119,7 @@ def test_ladder_degenerate_specialization(tmp_path, capsys):
     # mu = 0 makes a ladder factor vanish for m >= 2
     code = main(["--output", str(tmp_path / "r.json"),
                  "ladder", "--m", "2", "--mu", "[0,0]"])
-    assert code == 1
+    assert code == 2
     assert "degenerate" in capsys.readouterr().err
 
 
@@ -270,6 +270,9 @@ def test_config_echo_reads_back_as_a_config(tmp_path):
     {"family": 1},
     {"output": 1},
     ["n", 2],
+    {"d_names": ["d1", 7]},
+    {"d_names": [None]},
+    {"extra_names": [None]},
 ])
 def test_config_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys, config):
     code, report = run(tmp_path, "--config", write_config(tmp_path, config),
@@ -330,3 +333,85 @@ def test_parity_error_names_the_index_literal(tmp_path, capsys):
     assert code == 2 and report is None
     assert capsys.readouterr().err == (
         "error: coordinates [1/2,0] are not in the even class\n")
+
+
+@pytest.mark.parametrize("key, names", [("d_names", ["d1", 7]), ("extra_names", [None])])
+def test_name_lists_must_hold_strings(tmp_path, capsys, key, names):
+    config = write_config(tmp_path, {key: names})
+    code, report = run(tmp_path, "--config", config, "bracket", "L[1,0]", "L[0,0]")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == f"error: config {key!r} must list strings, not {names!r}\n"
+
+
+def test_unknown_name_error_has_no_key_error_quotes(tmp_path, capsys):
+    code, report = run(tmp_path, "bracket", "q*L[1,0]", "L[0,0]")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error: unknown indeterminate 'q'; ")
+
+
+def test_deeply_nested_literal_is_a_usage_error(tmp_path, capsys):
+    nested = "(" * 200 + "1" + ")" * 200 + "*L[1,0]"
+    code, report = run(tmp_path, "bracket", nested, "L[0,0]")
+    assert code == 2 and report is None
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expression nested too deeply")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [ValueError("boom"), KeyError("boom"), TypeError("boom")])
+def test_internal_errors_exit_3_with_one_line(tmp_path, capsys, monkeypatch, exc):
+    def broken(session, args):
+        raise exc
+    monkeypatch.setattr("svir.cli.cmd_bracket", broken)
+    code, report = run(tmp_path, "bracket", "L[1,0]", "L[0,0]")
+    assert code == 3 and report is None
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def _iso(m, s="[0,0]", mprime="[[1,0],[0,1]]", alpha="1"):
+    return ["iso-check", "--m", m, "--s", s, "--mprime", mprime, "--sprime", s,
+            "--alpha", alpha]
+
+
+_BRACKET = ["bracket", "L[1,0]", "L[0,0]"]
+_BAD_INPUTS = {
+    "bad-json": ("{not json", _BRACKET),
+    "not-utf8": ("\udcff", _BRACKET),
+    "json-nested-too-deeply": ("[" * 100_000 + "]" * 100_000, _BRACKET),
+    "missing-config": (None, ["--config", "missing.json", *_BRACKET]),
+    "duplicate-names": ({"d_names": ["d1", "d1"]}, _BRACKET),
+    "rank-1-cone-basis": ({"n": 1}, ["cone-basis", "--k", "1"]),
+    "rank-1-adapted-basis": ({"n": 1}, ["adapted-basis", "--mu", "[1]"]),
+    "box-radius-0": (None, ["simplicity", "--family", "SA", "--radius", "0"]),
+    "box-radius-half": (None, ["simplicity", "--family", "SA", "--radius", "1/2"]),
+    "ghw-negative-k": (None, ["ghw", "--family", "SA", "--vector", "x[0,0]", "--k", "-1"]),
+    "ghw-zero-vector": (None, ["ghw", "--family", "SA", "--vector", "0"]),
+    "ghw-vector-outside-box": (None, ["ghw", "--family", "SA", "--vector", "x[5,0]",
+                                      "--radius", "1"]),
+    "ghw-non-unimodular": (None, ["ghw", "--family", "SA", "--vector", "x[0,0]",
+                                  "--basis", "[[2,0],[0,1]]"]),
+    "ghw-non-square": (None, ["ghw", "--family", "SA", "--vector", "x[0,0]",
+                              "--basis", "[[1,0],[0]]"]),
+    "quotient-seed-outside-box": (None, ["quotient", "--family", "SBprime",
+                                         "--seeds", "y[5,0]", "--radius", "1"]),
+    "iso-dependent-rows": (None, _iso("[[1,0],[2,0]]")),
+    "iso-ragged-rows": (None, _iso("[[1,0],[1]]")),
+    "iso-alpha-0": (None, _iso("[[1]]", s="[0]", mprime="[[1]]", alpha="0")),
+}
+
+
+@pytest.mark.parametrize("config, argv", list(_BAD_INPUTS.values()), ids=list(_BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, config, argv):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        text = config if isinstance(config, str) else json.dumps(config)
+        (tmp_path / "session.json").write_text(text, errors="surrogateescape")
+        argv = ["--config", "session.json", *argv]
+    code, report = run(tmp_path, *argv)
+    assert code == 2 and report is None
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

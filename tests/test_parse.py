@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svir.algebra import AlgebraElement, CENTRAL
+from svir.algebra import AlgebraElement, BasisElt, CENTRAL, Kind
+from svir.lattice import AlgebraConfig, Parity
 from svir.parse import (ParseError, parse_element, parse_index,
                         parse_rational_matrix, parse_rational_vector,
                         parse_scalar)
-from svir.repmod import ModuleVector
+from svir.repmod import BoxSpec, Family, ModuleSpec, ModuleVector, SeriesModule
 
 HALF = Fraction(1, 2)
 
@@ -158,3 +160,58 @@ def test_rational_matrix_literals():
         parse_rational_vector("1,2")
     with pytest.raises(ParseError):
         parse_rational_vector("[1, x]")
+
+
+@pytest.mark.parametrize("text", ["(" * 300 + "1" + ")" * 300, "-" * 3000 + "1",
+                                  "(" * 300], ids=["parentheses", "signs", "unclosed"])
+def test_deeply_nested_literal_is_a_parse_error(cfg, text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_scalar(cfg.ctx, text)
+
+
+# -- randomized print/parse round trips ----------------------------------------
+
+_CFG = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "b", "a'"))
+_ATOMS = [_CFG.var(name) for name in _CFG.ctx.names]
+_GENERATORS = [BasisElt(Kind.L, v) for v in _CFG.box(1, Parity.EVEN)] + \
+    [BasisElt(Kind.G, v) for v in _CFG.box(1, Parity.ODD)] + [CENTRAL]
+_MODULES = [SeriesModule(_CFG, ModuleSpec.of(family, {name: _CFG.var(name)
+                                                      for name in family.param_names}))
+            for family in Family]
+_RATIONALS = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def _polynomials(draw):
+    """Horner-style polynomial in the declared names with rational coefficients."""
+    value = _CFG.scalar(draw(_RATIONALS))
+    for atom in draw(st.lists(st.sampled_from(_ATOMS), max_size=3)):
+        value = value * atom + draw(_RATIONALS)
+    return value
+
+
+@st.composite
+def _coefficients(draw):
+    """A polynomial or, half the time, a quotient of two polynomials."""
+    value = draw(_polynomials())
+    if draw(st.booleans()):
+        den = draw(_polynomials())
+        if not den.is_zero():
+            value = value / den
+    return value
+
+
+@st.composite
+def _terms(draw, pool):
+    return [(sym, draw(_coefficients()))
+            for sym in draw(st.lists(st.sampled_from(pool), max_size=4))]
+
+
+@given(_terms(_GENERATORS), st.sampled_from(_MODULES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_printed_elements_parse_back(algebra_terms, module, data):
+    elt = AlgebraElement.from_terms(algebra_terms)
+    assert parse_element(_CFG, str(elt)) == elt
+    vec_terms = data.draw(_terms(list(module.basis_in_box(BoxSpec(1)))))
+    vec = ModuleVector.from_terms(vec_terms)
+    assert parse_element(_CFG, str(vec), spec=module.spec) == vec
