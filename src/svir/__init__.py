@@ -5,8 +5,8 @@ half-integer coset, the graded bracket, the three intermediate-series
 module families, and a verification CLI.
 """
 
-from .scalar import (EvaluationError, Indeterminate, InputError, PolyExact,
-                     ScalarContext, ScalarDivisionError, ScalarExpr)
+from .scalar import (EvaluationError, InputError, PolyExact, ScalarContext,
+                     ScalarDivisionError, ScalarExpr)
 from .lattice import (AlgebraConfig, ConeSpec, IndexVector, LatticeBasis,
                       NonUnimodularError, Parity, ParityError,
                       adapted_cone_basis, change_of_coords, cone_inclusion_check,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraConfig", "AlgebraElement", "BasisElt", "BoxSpec", "CENTRAL",
     "ConeSpec", "DegenerateFactorError", "EvaluationError", "Family",
-    "HomogeneityError", "Indeterminate", "IndexVector", "InputError", "InvariantError",
+    "HomogeneityError", "IndexVector", "InputError", "InvariantError",
     "Kind", "LatticeBasis", "ModuleBasisVector", "ModuleSpec", "ModuleVector",
     "NonUnimodularError", "Parity", "ParityError", "ParseError", "PolyExact",
     "ScalarContext", "ScalarDivisionError", "ScalarExpr", "SeriesModule",

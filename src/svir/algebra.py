@@ -111,9 +111,6 @@ class SuperVirasoro:
     def G(self, coords) -> BasisElt:
         return BasisElt(Kind.G, self.config.odd(coords))
 
-    def c(self) -> BasisElt:
-        return CENTRAL
-
     def element(self, x) -> AlgebraElement:
         if isinstance(x, AlgebraElement):
             return x
@@ -289,26 +286,6 @@ class SuperVirasoro:
                                         step, in_a, got == expected))
         ok = all(e.step_in_neighborhood and e.bracket_ok for e in entries)
         return WitnessReport(adapted, tuple(entries), ok)
-
-    # -- structural helpers ------------------------------------------------------
-
-    def parity_weight(self, x) -> tuple:
-        """Parity label and the shared ad-L_0 weight of an element.
-
-        The weight of L_mu and G_eta is the embedding of the index; c has
-        weight 0.  When the terms do not share one index the weight is None
-        and the parity may be "mixed".
-        """
-        x = self.element(x)
-        cfg = self.config
-        if x.is_zero():
-            return ("even", cfg.ctx.zero)
-        parity = {0: "even", 1: "odd", None: "mixed"}[x.parity()]
-        indexes = {sym.index if sym.index is not None else cfg.zero_index
-                   for sym in x.terms}
-        if len(indexes) == 1:
-            return (parity, cfg.embed(indexes.pop()))
-        return (parity, None)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ stable schema version, prints a human-readable summary, and exits 0 when
 all checks pass and 1 on any failed identity.  ``main`` is the one error
 boundary: bad input (an ``InputError`` from any layer, or an unreadable
 file) exits 2 and any other exception is an internal error that exits 3;
-both print one line on stderr and write no report.  Enumeration order is
-fixed, so reports are deterministic for a fixed configuration.
+both print one line on stderr and write no report.  A closed stdout keeps
+the verdict's exit code.  Enumeration order is fixed, so reports are
+deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def cmd_bracket(session, args):
 
 def cmd_act(session, args):
     module = session.module()
-    g = parse_element(session.config, args.element)
+    g = parse_element(session.config, args.element, spec=module.spec)
     v = parse_element(session.config, args.vector, spec=module.spec)
     if not isinstance(g, AlgebraElement) or not isinstance(v, ModuleVector):
         raise InputError("act expects an algebra element and a module vector")
@@ -455,17 +456,24 @@ def main(argv=None) -> int:
         with open(output, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        try:
+            for line in lines:
+                print(line)
+            print(f"{'PASS' if passed else 'FAIL'} (report written to {output})")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left early; the verdict stands, and pointing stdout
+            # at devnull keeps the interpreter's final flush from failing again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 0 if passed else 1
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-    for line in lines:
-        print(line)
-    print(f"{'PASS' if passed else 'FAIL'} (report written to {output})")
-    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .scalar import ScalarExpr
+from .scalar import ScalarExpr, signed_sum
 
 
 def _merge(terms, items):
@@ -108,11 +108,7 @@ class FormalSum:
                     rendered.append((sign, f"{mag}*{sym}"))
             else:
                 rendered.append(("+", f"({coeff})*{sym}"))
-        sign, body = rendered[0]
-        out = ("-" + body) if sign == "-" else body
-        for sign, body in rendered[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_sum(rendered)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self}>"

@@ -1,10 +1,13 @@
 """Parsers for scalar literals, index literals and algebra/module elements.
 
-Scalar grammar: integers, rationals p/q, declared indeterminate names, and
-+ - * / ( ) ^ with integer exponents.  Element grammar: terms such as
-``L[1,-2]``, ``G[1/2,0]``, ``c``, ``x[0,0]``, ``y[1/2,0]``, optionally
-prefixed by a scalar coefficient and ``*``, joined by + or -.  Parsing and
-the canonical printers round-trip.
+One grammar reads scalars and elements.  Scalars: integers, rationals p/q,
+declared indeterminate names, and + - * / ( ) ^ with integer exponents.
+Elements add the atoms ``L[1,-2]``, ``G[1/2,0]``, ``x[0,0]``, ``y[1/2,0]``
+and ``c`` (the central element wherever a ``c`` ends its term), each with
+coefficient 1.  A scalar multiplies an element from the left, with ``*``
+or by juxtaposition (``2 L[1,0]``); + and - join two elements of one kind,
+and unary - negates.  Every ParseError names an offset into the whole
+literal.  Parsing and the canonical printers round-trip.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ class ParseError(InputError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_']*)|([+\-*/^()]))")
+# a letter token must start at a word boundary, so "2L[1,0]" and "2c" are errors
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|\b(?:([LGxy])\s*\[([^\[\]]*)\]"
+                       r"|([A-Za-z][A-Za-z0-9_']*))|([+\-*/^()]))")
 
 
 def _tokenize(text):
@@ -36,29 +41,53 @@ def _tokenize(text):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError("unexpected character", text, pos)
+        if not m:
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError("unexpected character", text, len(text) - len(rest))
             break
-        if m.group(1) is not None:
-            tokens.append(("num", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
+        num, symbol, body, name, op = m.groups()
+        if num is not None:
+            tokens.append(("num", int(num), m.start(1)))
+        elif symbol is not None:
+            tokens.append(("symbol", (symbol, body), m.start(2)))
+        elif name is not None:
+            tokens.append(("name", name, m.start(4)))
         else:
-            tokens.append(("op", m.group(3), m.start(3)))
+            tokens.append(("op", op, m.start(5)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
 
 
-class _ScalarParser:
-    """Recursive descent over the scalar grammar."""
+def _kind(value):
+    if isinstance(value, ScalarExpr):
+        return "a scalar"
+    return "an algebra element" if isinstance(value, AlgebraElement) else "a module vector"
 
-    def __init__(self, ctx: ScalarContext, text: str):
+
+class _Parser:
+    """Recursive descent over the literal grammar.
+
+    Without a config it reads scalars only.  With one, values are scalars,
+    algebra elements or module vectors, and each operator checks the kinds
+    it combines.
+    """
+
+    def __init__(self, ctx: ScalarContext, text: str, config=None, spec=None):
         self.ctx = ctx
         self.text = text
+        self.config = config
+        self.spec = spec
         self.tokens = _tokenize(text)
         self.i = 0
+
+    def error(self, message, pos):
+        return ParseError(message, self.text, pos)
+
+    def mismatch(self, op, pos, *values):
+        kinds = " and ".join(_kind(v) for v in values)
+        return self.error(f"cannot apply {op!r} to {kinds}", pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -71,25 +100,40 @@ class _ScalarParser:
     def expect_op(self, symbol):
         kind, value, pos = self.take()
         if kind != "op" or value != symbol:
-            raise ParseError(f"expected {symbol!r}", self.text, pos)
+            raise self.error(f"expected {symbol!r}", pos)
 
-    def parse(self) -> ScalarExpr:
-        value = self.expr()
+    def element_next(self):
+        """Is the next token an element atom: a generator, or a c ending its term?"""
+        kind, value, _ = self.peek()
+        if self.config is None:
+            return False
+        if kind != "name" or value != "c":
+            return kind == "symbol"
+        after, op, _ = self.tokens[self.i + 1]
+        return after == "end" or (after == "op" and op in "+-)")
+
+    def parse(self):
+        try:
+            value = self.expr()
+        except RecursionError:
+            pos = self.tokens[min(self.i, len(self.tokens) - 1)][2]
+            raise self.error("expression nested too deeply", pos) from None
         kind, _, pos = self.peek()
         if kind != "end":
-            raise ParseError("trailing input", self.text, pos)
+            raise self.error("trailing input", pos)
         return value
 
     def expr(self):
         value = self.term()
         while True:
-            kind, op, _ = self.peek()
-            if kind == "op" and op in "+-":
-                self.take()
-                rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
-            else:
+            kind, op, pos = self.peek()
+            if kind != "op" or op not in "+-":
                 return value
+            self.take()
+            rhs = self.term()
+            if type(rhs) is not type(value):
+                raise self.mismatch(op, pos, value, rhs)
+            value = value + rhs if op == "+" else value - rhs
 
     def term(self):
         value = self.factor()
@@ -97,12 +141,22 @@ class _ScalarParser:
             kind, op, pos = self.peek()
             if kind == "op" and op in "*/":
                 self.take()
-                rhs = self.factor()
-                if op == "/" and rhs.is_zero():
-                    raise ParseError("division by zero", self.text, pos)
-                value = value * rhs if op == "*" else value / rhs
+            elif self.element_next():
+                op = "*"  # juxtaposition, as in "2 L[1,0]"
             else:
                 return value
+            rhs = self.factor()
+            if not isinstance(value, ScalarExpr) or (
+                    op == "/" and not isinstance(rhs, ScalarExpr)):
+                raise self.mismatch(op, pos, value, rhs)
+            if op == "/":
+                if rhs.is_zero():
+                    raise self.error("division by zero", pos)
+                value = value / rhs
+            elif isinstance(rhs, ScalarExpr):
+                value = value * rhs
+            else:
+                value = rhs.scale(value)
 
     def factor(self):
         kind, value, pos = self.peek()
@@ -120,8 +174,10 @@ class _ScalarParser:
         if kind == "op" and value == "^":
             self.take()
             exponent = self.exponent()
+            if not isinstance(base, ScalarExpr):
+                raise self.mismatch("^", pos, base)
             if exponent < 0 and base.is_zero():
-                raise ParseError("division by zero", self.text, pos)
+                raise self.error("division by zero", pos)
             return base ** exponent
         return base
 
@@ -132,10 +188,12 @@ class _ScalarParser:
             sign = -1
             kind, value, pos = self.take()
         if kind != "num":
-            raise ParseError("exponents must be integer literals", self.text, pos)
+            raise self.error("exponents must be integer literals", pos)
         return sign * value
 
     def atom(self):
+        if self.element_next():
+            return self.element()
         kind, value, pos = self.take()
         if kind == "num":
             return self.ctx.scalar(value)
@@ -143,21 +201,53 @@ class _ScalarParser:
             try:
                 return self.ctx.var(value)
             except KeyError as exc:
-                raise ParseError(exc.args[0], self.text, pos) from None
+                raise self.error(exc.args[0], pos) from None
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
             return inner
-        raise ParseError("expected a number, name or parenthesis", self.text, pos)
+        raise self.error("expected a number, name or parenthesis", pos)
+
+    def element(self):
+        kind, value, pos = self.take()
+        one = self.ctx.one
+        if kind == "name":
+            return AlgebraElement({CENTRAL: one})
+        symbol, body = value
+        if symbol in "LG":
+            parity = Parity.EVEN if symbol == "L" else Parity.ODD
+        elif self.spec is None:
+            raise self.error("module symbols need a module family", pos)
+        else:
+            parity = self.spec.x_parity if symbol == "x" else self.spec.y_parity
+        try:
+            index = self.config.index([parse_rational(p) for p in body.split(",")], parity)
+        except InputError as exc:
+            raise self.error(str(exc), pos) from None
+        if symbol in "LG":
+            return AlgebraElement({BasisElt(Kind(symbol), index): one})
+        return ModuleVector({ModuleBasisVector(symbol, index): one})
 
 
 def parse_scalar(ctx: ScalarContext, text: str) -> ScalarExpr:
-    parser = _ScalarParser(ctx, text)
-    try:
-        return parser.parse()
-    except RecursionError:
-        pos = parser.tokens[min(parser.i, len(parser.tokens) - 1)][2]
-        raise ParseError("expression nested too deeply", text, pos) from None
+    return _Parser(ctx, text).parse()
+
+
+def parse_element(config: AlgebraConfig, text: str, spec: ModuleSpec = None):
+    """Parse an algebra element or (when x/y occur) a module vector.
+
+    Module symbols need a ModuleSpec to fix their index parities; mixing
+    algebra and module symbols in one expression is an error.  The bare
+    literal "0" is the zero element (a module vector when a spec is given).
+    """
+    if text.strip() == "0":
+        return ModuleVector({}) if spec is not None else AlgebraElement({})
+    parser = _Parser(config.ctx, text, config, spec)
+    value = parser.parse()
+    if isinstance(value, ScalarExpr):
+        raise ParseError("expected an element: L[...], G[...], x[...], y[...] or c",
+                         text, parser.tokens[0][2])
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -216,104 +306,3 @@ def parse_index(config: AlgebraConfig, text: str, parity: Parity = Parity.EVEN):
         return config.index(coords, parity)
     except InputError as exc:
         raise ParseError(str(exc)) from None
-
-
-# ---------------------------------------------------------------------------
-# Elements
-# ---------------------------------------------------------------------------
-
-_GENERATOR_RE = re.compile(r"(?:\b([LGxy])\s*\[([^\[\]]*)\]|\bc\b)\s*\Z")
-
-
-def _split_terms(text):
-    """Split on top-level binary + and -, keeping the sign of each piece.
-
-    A sign is binary only when the previous meaningful character ends an
-    expression; otherwise (after an operator or at the start) it is unary
-    and stays inside the piece's coefficient.
-    """
-    segments = []
-    depth = 0
-    start = 0
-    prev = ""
-    for i, ch in enumerate(text):
-        if ch in "[(":
-            depth += 1
-            prev = ch
-        elif ch in "])":
-            depth -= 1
-            prev = ch
-        elif ch in "+-" and depth == 0 and (prev.isalnum() or (prev and prev in "])'")):
-            segments.append((text[start:i], start, ch))
-            start = i + 1
-            prev = ""
-        elif not ch.isspace():
-            prev = ch
-    segments.append((text[start:], start, None))
-
-    terms = []
-    pending_sign = 1
-    for seg, offset, sep_after in segments:
-        body = seg.strip()
-        sign = pending_sign
-        while body.startswith(("+", "-")):
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:].lstrip()
-        if not body:
-            raise ParseError("empty term", text, offset)
-        terms.append((sign, body, offset))
-        pending_sign = -1 if sep_after == "-" else 1
-    return terms
-
-
-def parse_element(config: AlgebraConfig, text: str, spec: ModuleSpec = None):
-    """Parse an algebra element or (when x/y occur) a module vector.
-
-    Module symbols need a ModuleSpec to fix their index parities; mixing
-    algebra and module symbols in one expression is an error.  The bare
-    literal "0" is the zero element (a module vector when a spec is given).
-    """
-    ctx = config.ctx
-    if text.strip() == "0":
-        return ModuleVector({}) if spec is not None else AlgebraElement({})
-    algebra_terms = []
-    module_terms = []
-    for sign, piece, offset in _split_terms(text):
-        m = _GENERATOR_RE.search(piece)
-        if not m:
-            raise ParseError("a term must end with L[...], G[...], x[...], "
-                             "y[...] or c", text, offset)
-        head = piece[:m.start()].rstrip()
-        if head.endswith("*"):
-            head = head[:-1]
-        if head:
-            coeff = parse_scalar(ctx, head)
-        else:
-            coeff = ctx.one
-        if sign < 0:
-            coeff = -coeff
-        symbol = m.group(1)
-        if symbol is None:
-            algebra_terms.append((CENTRAL, coeff))
-            continue
-        coords = tuple(parse_rational(p) for p in _split_top_level(m.group(2)))
-        if symbol in "LG":
-            parity = Parity.EVEN if symbol == "L" else Parity.ODD
-        elif spec is None:
-            raise ParseError("module symbols need a module family", text, offset)
-        else:
-            parity = spec.x_parity if symbol == "x" else spec.y_parity
-        try:
-            index = config.index(coords, parity)
-        except InputError as exc:
-            raise ParseError(str(exc), text, offset) from None
-        if symbol in "LG":
-            algebra_terms.append((BasisElt(Kind(symbol), index), coeff))
-        else:
-            module_terms.append((ModuleBasisVector(symbol, index), coeff))
-    if algebra_terms and module_terms:
-        raise ParseError("cannot mix algebra and module symbols", text, 0)
-    if module_terms:
-        return ModuleVector.from_terms(module_terms)
-    return AlgebraElement.from_terms(algebra_terms)

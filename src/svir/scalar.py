@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 _ZERO = Fraction(0)
@@ -41,12 +40,6 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact scalars")
     return Fraction(value)
-
-
-@dataclass(frozen=True)
-class Indeterminate:
-    name: str
-    index: int
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +345,6 @@ class ScalarContext:
         for name in names:
             if not _NAME_RE.match(name):
                 raise InputError(f"invalid indeterminate name {name!r}")
-        self.indeterminates = tuple(Indeterminate(n, i) for i, n in enumerate(names))
         self.names = names
         self._by_name = {n: i for i, n in enumerate(names)}
         self._poly_zero = PolyExact({})
@@ -505,14 +497,8 @@ class ScalarExpr:
 
     def evaluate(self, assignment):
         """Exact value at a rational point; every used indeterminate must be set."""
-        values = []
-        for ind in self.ctx.indeterminates:
-            if ind.name in assignment:
-                values.append(as_fraction(assignment[ind.name]))
-            elif ind in assignment:
-                values.append(as_fraction(assignment[ind]))
-            else:
-                values.append(None)
+        values = [as_fraction(assignment[name]) if name in assignment else None
+                  for name in self.ctx.names]
         num = self.num.evaluate(values)
         den = self.den.evaluate(values)
         if den == 0:
@@ -568,8 +554,10 @@ def poly_str(poly, names):
         else:
             body = "*".join([str(mag)] + factors)
         pieces.append(("-" if coeff < 0 else "+", body))
-    sign, body = pieces[0]
-    out = ("-" + body) if sign == "-" else body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return signed_sum(pieces)
+
+
+def signed_sum(pieces):
+    """Join (sign, body) pieces as "a - b + c"; a leading + is dropped."""
+    (sign, body), rest = pieces[0], pieces[1:]
+    return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)

@@ -211,16 +211,6 @@ def test_bracket_witness_rank3():
         assert sv3.bracket_generation_witness(cfg3.even(coords)).ok, coords
 
 
-def test_parity_weight(cfg, sv):
-    d1 = cfg.var("d1")
-    assert sv.parity_weight(sv.L((1, 0))) == ("even", d1)
-    assert sv.parity_weight(sv.G((HALF, 0))) == ("odd", d1 / 2)
-    assert sv.parity_weight(CENTRAL) == ("even", cfg.ctx.zero)
-    mixed = sv.element(sv.L((1, 0))) + sv.element(sv.G((HALF, 0)))
-    parity, weight = sv.parity_weight(mixed)
-    assert parity == "mixed" and weight is None
-
-
 def test_basis_elt_validation(cfg):
     with pytest.raises(ParityError):
         BasisElt(Kind.L, cfg.odd((HALF, 0)))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import svir
 from svir.cli import Session, main
 
 
@@ -26,6 +31,13 @@ def test_act_command(tmp_path):
     code, report = run(tmp_path, "act", "--family", "SA", "L[1,0]", "x[0,1]")
     assert code == 0
     assert report["results"][0]["result"] == "(d1*b + d2 + a)*x[1,1]"
+
+
+def test_act_names_a_module_vector_in_the_element_slot(tmp_path, capsys):
+    code, report = run(tmp_path, "act", "--family", "SA", "x[0,0]", "x[0,0]")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == \
+        "error: act expects an algebra element and a module vector\n"
 
 
 def test_jacobi_fuzz_reports_failures(tmp_path):
@@ -415,3 +427,23 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, co
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["bracket", "L[1,0]", "L[-1,0]"], 0),
+    (["iso-check", "--m", "[[1]]", "--s", "[1/2]", "--mprime", "[[3]]",
+      "--sprime", "[1]", "--alpha", "2"], 1),
+], ids=["pass", "fail"])
+def test_closed_stdout_keeps_the_verdict(tmp_path, argv, verdict):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(svir.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "svir", *argv], cwd=tmp_path,
+                              env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == verdict
+    assert proc.stderr == b""  # no traceback and no "Exception ignored" line
+    assert (tmp_path / "report.json").exists()

@@ -215,3 +215,123 @@ def test_printed_elements_parse_back(algebra_terms, module, data):
     vec_terms = data.draw(_terms(list(module.basis_in_box(BoxSpec(1)))))
     vec = ModuleVector.from_terms(vec_terms)
     assert parse_element(_CFG, str(vec), spec=module.spec) == vec
+
+
+# -- one grammar: positions, widenings and a pinned corpus ------------------------
+
+def test_error_positions_are_offsets_into_the_whole_literal(cfg):
+    for text, pos in [("L[1,0] + q*L[0,1]", 9), ("L[1,0] L[0,0]", 7)]:
+        with pytest.raises(ParseError) as info:
+            parse_element(cfg, text)
+        assert info.value.pos == pos
+        assert str(info.value).endswith(f"(at position {pos} in {text!r})")
+
+
+def test_unary_minus_after_star_negates_an_element(cfg):
+    assert parse_element(cfg, "2*-L[1,0]") == parse_element(cfg, "-2*L[1,0]")
+
+
+_DECLARED_C = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "c"))
+_SPECS = {module.spec.family.value: module.spec for module in _MODULES}
+_A, _M = AlgebraElement, ModuleVector
+
+# (session, literal, (type, printed value) or None for a ParseError).  The
+# session "c" declares c as an indeterminate; "SA" and "SBprime" pass that
+# family's spec.  Values are those of the earlier parser, which split a
+# literal into terms before parsing each coefficient, except where marked.
+_CORPUS = [
+    ("alg", "L[1,-2]", (_A, "L[1,-2]")),
+    ("alg", "c", (_A, "c")),
+    ("alg", "2 L[1,0]", (_A, "2*L[1,0]")),
+    ("alg", "(a)L[1,0]", (_A, "a*L[1,0]")),
+    ("alg", "1/2 L[1,0]", (_A, "1/2*L[1,0]")),
+    ("alg", "2*3 L[1,0]", (_A, "6*L[1,0]")),
+    ("alg", "-(a) L[1,0]", (_A, "-a*L[1,0]")),
+    ("alg", "2 c", (_A, "2*c")),
+    ("c", "c L[1,0]", (_A, "c*L[1,0]")),
+    ("c", "c*L[1,0]", (_A, "c*L[1,0]")),
+    ("c", "c*c", (_A, "c*c")),
+    ("c", "c", (_A, "c")),
+    ("alg", "G[0.5,0]", (_A, "G[1/2,0]")),
+    ("alg", "L[ 1 , 0 ]", (_A, "L[1,0]")),
+    ("alg", "L [1,0]", (_A, "L[1,0]")),
+    ("alg", "--L[0,0]", (_A, "L[0,0]")),
+    ("alg", "+L[1,0]", (_A, "L[1,0]")),
+    ("alg", "2*-1*L[0,0]", (_A, "-2*L[0,0]")),
+    ("alg", "a*-b L[1,0]", (_A, "-a*b*L[1,0]")),
+    ("alg", "a'*L[1,0]", (_A, "a'*L[1,0]")),
+    ("alg", "L[1,0] + -L[0,0]", (_A, "-L[0,0] + L[1,0]")),
+    ("alg", "L[1,0] - L[1,0]", (_A, "0")),
+    ("alg", "0", (_A, "0")),
+    ("alg", "0*L[1,0]", (_A, "0")),
+    ("SA", "x[0,0] - x[0,0]", (_M, "0")),
+    ("SA", "0", (_M, "0")),
+    ("SA", "-b*y[-1/2,1] + 2 x[1,1]", (_M, "2*x[1,1] - b*y[-1/2,1]")),
+    ("SA", "L[1,0]", (_A, "L[1,0]")),
+    ("SBprime", "x[1/2,0] + y[0,1]", (_M, "x[1/2,0] + y[0,1]")),
+    # widened: a signed or parenthesized element, and c inside parentheses
+    ("alg", "2*-L[1,0]", (_A, "-2*L[1,0]")),
+    ("alg", "2*(L[1,0]+L[0,0])", (_A, "2*L[0,0] + 2*L[1,0]")),
+    ("alg", "(c)", (_A, "c")),
+    # narrowed: with c declared, a c before ")" is now the central element
+    ("c", "(c)*L[1,0]", None),
+    ("c", "(a+c)*L[1,0]", None),
+    ("alg", "", None),
+    ("alg", "-0", None),
+    ("alg", "1+2", None),
+    ("alg", "2L[1,0]", None),
+    ("alg", "2c", None),
+    ("alg", "L[1,0] L[0,0]", None),
+    ("alg", "L[1,0]*2", None),
+    ("alg", "L[1,0]/2", None),
+    ("alg", "2/L[1,0]", None),
+    ("alg", "L[1,0]^2", None),
+    ("alg", "L[1,0] + 2", None),
+    ("alg", "L[1,0] +", None),
+    ("alg", "L[1,0", None),
+    ("alg", "L[1,0] $", None),
+    ("alg", "L[1/2,0]", None),
+    ("alg", "G[1,0]", None),
+    ("alg", "L[]", None),
+    ("alg", "L[1,0,0]", None),
+    ("alg", "L[a,0]", None),
+    ("alg", "c^2", None),
+    ("alg", "c/2", None),
+    ("alg", "1/0*L[1,0]", None),
+    ("alg", "2 (L[1,0])", None),
+    ("alg", "x[0,0]", None),
+    ("SA", "x[1/2,0]", None),
+    ("SA", "L[1,0] + x[0,0]", None),
+]
+
+
+@pytest.mark.parametrize("session, text, expected", _CORPUS,
+                         ids=[f"{s}:{t}" for s, t, _ in _CORPUS])
+def test_literal_corpus(session, text, expected):
+    config = _DECLARED_C if session == "c" else _CFG
+    spec = _SPECS.get(session)
+    if expected is None:
+        with pytest.raises(ParseError) as info:
+            parse_element(config, text, spec=spec)
+        pos = info.value.pos
+        assert pos is not None and 0 <= pos <= len(text)
+        assert str(info.value).endswith(f"(at position {pos} in {text!r})")
+    else:
+        value = parse_element(config, text, spec=spec)
+        assert (type(value), str(value)) == expected
+
+
+# exponents carry a trailing space so that digit pieces never lengthen them
+_PIECES = ["L[1,0]", "G[1/2,0]", "x[0,0]", "y[1/2,0]", "c", "a", "q", "2", "0",
+           "+", "-", "*", "/", "^2 ", "^-1 ", "(", ")", " ", "[", ",", "$"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=8), st.sampled_from([None, "SA"]))
+@settings(max_examples=300, deadline=None)
+def test_every_element_parse_error_names_an_offset(pieces, family):
+    text = "".join(pieces)
+    try:
+        parse_element(_CFG, text, spec=_SPECS.get(family))
+    except ParseError as exc:
+        assert exc.pos is not None and 0 <= exc.pos <= len(text)
+        assert str(exc).endswith(f"(at position {exc.pos} in {text!r})")
