@@ -1,13 +1,14 @@
 """Parsers for scalar literals, index literals and algebra/module elements.
 
 One grammar reads scalars and elements.  Scalars: integers, rationals p/q,
-declared indeterminate names, and + - * / ( ) ^ with integer exponents.
-Elements add the atoms ``L[1,-2]``, ``G[1/2,0]``, ``x[0,0]``, ``y[1/2,0]``
-and ``c`` (the central element wherever a ``c`` ends its term), each with
-coefficient 1.  A scalar multiplies an element from the left, with ``*``
-or by juxtaposition (``2 L[1,0]``); + and - join two elements of one kind,
-and unary - negates.  Every ParseError names an offset into the whole
-literal.  Parsing and the canonical printers round-trip.
+declared indeterminate names, and + - * / ( ) ^ with integer exponents of
+magnitude at most MAX_EXPONENT.  Elements add the atoms ``L[1,-2]``,
+``G[1/2,0]``, ``x[0,0]``, ``y[1/2,0]`` and ``c`` (the central element
+wherever a ``c`` ends its term), each with coefficient 1.  A scalar
+multiplies an element from the left, with ``*`` or by juxtaposition
+(``2 L[1,0]``); + and - join two elements of one kind, and unary - negates.
+Every ParseError names an offset into the whole literal.  Parsing and the
+canonical printers round-trip.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ class ParseError(InputError):
         super().__init__(message)
         self.pos = pos
 
+
+# the largest |exponent| a literal may write; a larger power is refused, not computed
+MAX_EXPONENT = 1000
 
 # a letter token must start at a word boundary, so "2L[1,0]" and "2c" are errors
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|\b(?:([LGxy])\s*\[([^\[\]]*)\]"
@@ -183,12 +187,14 @@ class _Parser:
 
     def exponent(self) -> int:
         kind, value, pos = self.take()
-        sign = 1
+        start, sign = pos, 1
         if kind == "op" and value == "-":
             sign = -1
             kind, value, pos = self.take()
         if kind != "num":
             raise self.error("exponents must be integer literals", pos)
+        if value > MAX_EXPONENT:
+            raise self.error(f"exponents must be at most {MAX_EXPONENT} in magnitude", start)
         return sign * value
 
     def atom(self):

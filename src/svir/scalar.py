@@ -2,10 +2,12 @@
 
 Every coefficient in the engine lives in Q(t1,...,tm) for a fixed, ordered
 set of indeterminates declared once per session.  Values are quotients of
-sparse polynomials with Fraction coefficients kept in a canonical form
-(numerator and denominator coprime, denominator monic in the fixed monomial
-order), so structural equality decides mathematical equality and ``is_zero``
-is an exact test.
+sparse polynomials kept in a canonical form (numerator and denominator
+coprime, denominator monic in the fixed monomial order), so structural
+equality decides mathematical equality and ``is_zero`` is an exact test.
+A polynomial holds integer coefficients over one positive integer
+denominator, so its arithmetic is integer arithmetic; ``Fraction`` is only
+where a rational enters or leaves a polynomial.
 
 All values are immutable and all operations are pure; instances can be
 shared freely between threads.
@@ -16,9 +18,9 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
 
@@ -47,41 +49,43 @@ def as_fraction(value) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class PolyExact:
-    """Sparse multivariate polynomial: exponent tuple -> nonzero Fraction.
+    """Sparse multivariate polynomial over Q: ``terms`` maps an exponent
+    tuple to a nonzero int, and every coefficient is divided by the one
+    positive int ``den``.
 
-    The canonical monomial order is lexicographic on exponent tuples with
+    The form is canonical: gcd(den, *coefficients) == 1, and zero is {}
+    over 1.  The monomial order is lexicographic on exponent tuples with
     the first indeterminate most significant; the leading term of a nonzero
     polynomial is the lex-largest exponent tuple.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms):
-        # terms is trusted to carry no zero coefficients
+    def __init__(self, terms, den=1):
+        # trusted: no zero coefficients, and gcd(den, *terms.values()) == 1
         self.terms = terms
+        self.den = den
 
     @classmethod
     def from_terms(cls, items):
-        terms = {}
+        """Sum (exponent tuple, rational) items."""
+        acc = {}
         for exps, coeff in items:
-            acc = terms.get(exps, _ZERO) + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-        return cls(terms)
+            acc[exps] = acc.get(exps, _ZERO) + coeff
+        den = lcm(*(c.denominator for c in acc.values()))
+        return _canonical({e: int(c * den) for e, c in acc.items() if c}, den)
 
     @classmethod
     def constant(cls, value, nvars):
         value = as_fraction(value)
         if not value:
             return cls({})
-        return cls({(0,) * nvars: value})
+        return cls({(0,) * nvars: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, index, nvars):
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls({exps: _ONE})
+        return cls({exps: 1})
 
     def is_zero(self):
         return not self.terms
@@ -95,27 +99,31 @@ class PolyExact:
         ((exps, coeff),) = self.terms.items()
         if any(exps):
             raise ValueError("not a constant polynomial")
-        return coeff
+        return Fraction(coeff, self.den)
 
     def leading_coeff(self):
-        return self.terms[max(self.terms)]
+        return Fraction(self.terms[max(self.terms)], self.den)
 
     def add(self, other):
         if not self.terms:
             return other
         if not other.terms:
             return self
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, _ZERO) + coeff
+        den, terms, more = self.den, dict(self.terms), other.terms
+        if other.den != den:
+            den = lcm(den, other.den)
+            terms = _times(terms, den // self.den)
+            more = _times(more, den // other.den)
+        for exps, coeff in more.items():
+            acc = terms.get(exps, 0) + coeff
             if acc:
                 terms[exps] = acc
             else:
                 del terms[exps]
-        return PolyExact(terms)
+        return _canonical(terms, den)
 
     def neg(self):
-        return PolyExact({e: -c for e, c in self.terms.items()})
+        return PolyExact({e: -c for e, c in self.terms.items()}, self.den)
 
     def sub(self, other):
         return self.add(other.neg())
@@ -127,32 +135,37 @@ class PolyExact:
             self, other = other, self
         if len(self.terms) == 1 and not any(next(iter(self.terms))):
             (c,) = self.terms.values()
-            return other if c == 1 else other.scale(c)
+            if c == 1 and self.den == 1:
+                return other
+            return _canonical(_times(other.terms, c), other.den * self.den)
         add = operator.add
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                acc = terms.get(e, _ZERO) + c1 * c2
+                acc = terms.get(e, 0) + c1 * c2
                 if acc:
                     terms[e] = acc
                 else:
                     del terms[e]
-        return PolyExact(terms)
+        return _canonical(terms, self.den * other.den)
 
     def scale(self, coeff):
+        """Multiply by a rational (an int or a Fraction)."""
         if not coeff:
             return PolyExact({})
-        return PolyExact({e: c * coeff for e, c in self.terms.items()})
+        return _canonical(_times(self.terms, coeff.numerator), self.den * coeff.denominator)
 
     def monic(self):
         """Scale so the lex-leading coefficient is 1 (zero stays zero)."""
         if not self.terms:
             return self
-        lc = self.leading_coeff()
-        if lc == 1:
+        lc = self.terms[max(self.terms)]
+        if lc == self.den:
             return self
-        return self.scale(1 / lc)
+        if lc < 0:
+            return _canonical(_times(self.terms, -1), -lc)
+        return _canonical(self.terms, lc)
 
     def evaluate(self, values):
         """Evaluate at a value tuple; entries may be None when unused."""
@@ -165,7 +178,7 @@ class PolyExact:
                         raise EvaluationError("indeterminate left unassigned")
                     term *= v ** e
             total += term
-        return total
+        return total / self.den
 
     def variables(self):
         used = set()
@@ -176,13 +189,28 @@ class PolyExact:
         return used
 
     def __eq__(self, other):
-        return isinstance(other, PolyExact) and self.terms == other.terms
+        return (isinstance(other, PolyExact) and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     def __repr__(self):
-        return f"PolyExact({self.terms!r})"
+        return f"PolyExact({self.terms!r}, {self.den})"
+
+
+def _times(terms, k):
+    return {e: c * k for e, c in terms.items()}
+
+
+def _canonical(terms, den):
+    """The polynomial terms / den for den > 0, with their common factor removed."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {e: c // g for e, c in terms.items()}
+    return PolyExact(terms, den)
 
 
 def _deg_in(p, v):
@@ -196,24 +224,38 @@ def _coeff_in(p, v, d):
         if exps[v] == d:
             cleared = exps[:v] + (0,) + exps[v + 1:]
             terms[cleared] = coeff
-    return PolyExact(terms)
+    return _canonical(terms, p.den)
 
 
 def _shift(p, v, d):
     """Multiply by var(v)^d."""
     if d == 0 or not p.terms:
         return p
-    return PolyExact({e[:v] + (e[v] + d,) + e[v + 1:]: c for e, c in p.terms.items()})
+    return PolyExact({e[:v] + (e[v] + d,) + e[v + 1:]: c for e, c in p.terms.items()}, p.den)
+
+
+def _integral(p):
+    """p times its denominator: a constant multiple with integer coefficients."""
+    return p if p.den == 1 else PolyExact(p.terms)
 
 
 def divexact(f, g):
-    """Exact multivariate division; raises ValueError if g does not divide f."""
+    """Exact multivariate division; raises ValueError if g does not divide f.
+
+    The loop divides f's integer coefficients by the primitive part of g's
+    over Z.  By Gauss's lemma that quotient is integral whenever it exists,
+    so a leading coefficient that leaves a remainder proves g does not
+    divide f.
+    """
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
         return f
-    glead = max(g.terms)
-    gcoef = g.terms[glead]
+    content = gcd(*g.terms.values())
+    prim = g.terms if content == 1 else {e: c // content for e, c in g.terms.items()}
+    glead = max(prim)
+    gcoef = prim[glead]
+    add = operator.add
     rem = dict(f.terms)
     quot = {}
     while rem:
@@ -221,16 +263,21 @@ def divexact(f, g):
         qexp = tuple(a - b for a, b in zip(rlead, glead))
         if any(e < 0 for e in qexp):
             raise ValueError("inexact polynomial division")
-        qc = rem[rlead] / gcoef
-        quot[qexp] = quot.get(qexp, _ZERO) + qc
-        for ge, gc in g.terms.items():
-            e = tuple(a + b for a, b in zip(qexp, ge))
-            acc = rem.get(e, _ZERO) - qc * gc
+        qc, r = divmod(rem[rlead], gcoef)
+        if r:
+            raise ValueError("inexact polynomial division")
+        # the leading exponent of rem falls at every step, so qexp is new
+        quot[qexp] = qc
+        for ge, gc in prim.items():
+            e = tuple(map(add, qexp, ge))
+            acc = rem.get(e, 0) - qc * gc
             if acc:
                 rem[e] = acc
             else:
-                rem.pop(e, None)
-    return PolyExact({e: c for e, c in quot.items() if c})
+                del rem[e]
+    if g.den != 1:
+        quot = _times(quot, g.den)
+    return _canonical(quot, f.den * content)
 
 
 def _prem(f, g, v):
@@ -252,9 +299,12 @@ def _prem(f, g, v):
 
 
 def _poly_pow(p, k):
+    """p^k for k >= 1, by square-and-multiply from the most significant bit."""
     out = p
-    for _ in range(k - 1):
-        out = out.mul(p)
+    for bit in bin(k)[3:]:
+        out = out.mul(out)
+        if bit == "1":
+            out = out.mul(p)
     return out
 
 
@@ -262,11 +312,13 @@ def _subresultant_prs_last(r0, r1, v):
     """Last nonzero member of the subresultant pseudo-remainder sequence.
 
     The beta/psi bookkeeping keeps every division exact and the coefficient
-    growth polynomial, so no per-step content extraction is needed.
+    growth polynomial, so no per-step content extraction is needed.  On
+    integral inputs every member is integral, so the sequence runs over Z.
     """
+    r0, r1 = _integral(r0), _integral(r1)
     nvars = len(next(iter(r0.terms)))
     d = _deg_in(r0, v) - _deg_in(r1, v)
-    beta = PolyExact.constant(Fraction(-1) ** (d + 1), nvars)
+    beta = PolyExact.constant((-1) ** (d + 1), nvars)
     psi = PolyExact.constant(-1, nvars)
     prev, cur = r0, r1
     while True:
@@ -304,6 +356,8 @@ def poly_gcd(f, g):
         return g.monic()
     if g.is_zero():
         return f.monic()
+    # a constant multiple has the same monic gcd, so work over Z
+    f, g = _integral(f), _integral(g)
     fvars = f.variables()
     gvars = g.variables()
     if not fvars or not gvars:
@@ -405,13 +459,13 @@ class ScalarExpr:
             return ctx.zero
         if not den.is_constant():
             g = poly_gcd(num, den)
-            if not (g.is_constant() and g.constant_value() == 1):
+            if not g.is_constant():  # a monic constant is 1
                 num = divexact(num, g)
                 den = divexact(den, g)
         lc = den.leading_coeff()
         if lc != 1:
             num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
+            den = den.monic()
         if den.is_constant():
             den = ctx._poly_one
         return ScalarExpr(ctx, num, den)
@@ -489,8 +543,10 @@ class ScalarExpr:
         if exponent < 0:
             return self.ctx.one.__truediv__(self).__pow__(-exponent)
         result = self
-        for _ in range(exponent - 1):
-            result = result * self
+        for bit in bin(exponent)[3:]:  # square-and-multiply, most significant bit first
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- evaluation ---------------------------------------------------------
@@ -513,14 +569,11 @@ class ScalarExpr:
                 other = self.ctx.scalar(other)
             else:
                 return NotImplemented
-        return (self.ctx == other.ctx
-                and self.num.terms == other.num.terms
-                and self.den.terms == other.den.terms)
+        return self.ctx == other.ctx and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((frozenset(self.num.terms.items()),
-                               frozenset(self.den.terms.items())))
+            self._hash = hash((self.num, self.den))
         return self._hash
 
     def __str__(self):
@@ -539,7 +592,7 @@ def poly_str(poly, names):
         return "0"
     pieces = []
     for exps in sorted(poly.terms, reverse=True):
-        coeff = poly.terms[exps]
+        coeff = Fraction(poly.terms[exps], poly.den)
         factors = []
         for name, e in zip(names, exps):
             if e == 1:

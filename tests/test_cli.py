@@ -192,6 +192,14 @@ def test_division_by_zero_literal_is_a_usage_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: division by zero")
 
 
+def test_huge_exponent_is_refused_before_any_power_is_computed(tmp_path, capsys):
+    code, report = run(tmp_path, "bracket", "d1^1000000000*L[1,0]", "L[0,0]")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == (
+        "error: exponents must be at most 1000 in magnitude "
+        "(at position 3 in 'd1^1000000000*L[1,0]')\n")
+
+
 def test_division_by_zero_parameter_is_a_usage_error(tmp_path, capsys):
     config = tmp_path / "session.json"
     config.write_text(json.dumps({"family": "SA", "params": {"a": "1/(a - a)"}}))

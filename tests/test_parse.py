@@ -101,6 +101,17 @@ def test_scalar_grammar(cfg):
     assert parse_scalar(ctx, "a'") == ctx.var("a'")
 
 
+def test_exponents_are_bounded(cfg):
+    ctx = cfg.ctx
+    d1 = ctx.var("d1")
+    assert parse_scalar(ctx, "d1^1000") == d1 ** 1000
+    assert parse_scalar(ctx, "d1^-1000") == 1 / d1 ** 1000
+    for text in ("d1^1001", "d1^-1001", "(d1 + 1)^1000000000"):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(ctx, text)
+        assert info.value.pos == text.index("^") + 1
+
+
 def test_scalar_print_parse_round_trip(cfg):
     ctx = cfg.ctx
     d1, d2, a = ctx.var("d1"), ctx.var("d2"), ctx.var("a")

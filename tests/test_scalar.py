@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,24 +178,70 @@ def test_poly_gcd_divides_common_factor(x, y, z):
     assert poly_gcd(d, common) == common.monic()
 
 
-# -- polynomial fast paths ------------------------------------------------------
+# -- a plain rational reference ------------------------------------------------
+#
+# A polynomial here is a dict {exponent tuple: nonzero Fraction}, with no
+# shared denominator and no shortcut, so every kernel result can be checked
+# against it.
+
+def _rational(p):
+    """The {exponents: Fraction} view of a PolyExact."""
+    return {e: Fraction(c, p.den) for e, c in p.terms.items()}
+
+
+def _ref_add(f, g, sign=1):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_scale(f, c):
+    return {e: v * c for e, v in f.items() if v * c}
+
+
+def _ref_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_monic(f):
+    return _ref_scale(f, 1 / f[max(f)]) if f else f
+
 
 def _reference_mul(p, q):
-    """Schoolbook product over every pair of terms, with no shortcut."""
-    return PolyExact.from_terms(
-        (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        for e1, c1 in p.terms.items() for e2, c2 in q.terms.items())
+    """Schoolbook product of two PolyExacts, over every pair of terms."""
+    return _ref_mul(_rational(p), _rational(q))
 
+
+def _assert_canonical(p):
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *p.terms.values()) == 1    # so zero is {} over 1
+
+
+def _assert_matches(p, ref):
+    _assert_canonical(p)
+    assert _rational(p) == ref
+    same = PolyExact.from_terms(ref.items())
+    assert p == same and hash(p) == hash(same)
+
+
+# -- polynomial fast paths ------------------------------------------------------
 
 @given(scalars(), st.fractions(max_denominator=4).filter(bool), scalars())
 @settings(max_examples=60, deadline=None)
 def test_poly_mul_matches_the_double_loop(x, c, y):
     p, q = x.num, y.num
-    assert p.mul(q).terms == _reference_mul(p, q).terms
+    assert _rational(p.mul(q)) == _reference_mul(p, q)
     for value in (c, 1, -1):
         const = PolyExact.constant(value, _CTX.nvars)
         for a, b in ((p, const), (const, p), (const, const)):
-            assert a.mul(b).terms == _reference_mul(a, b).terms
+            assert _rational(a.mul(b)) == _reference_mul(a, b)
 
 
 @st.composite
@@ -220,17 +267,98 @@ def test_cancelled_denominator_is_the_shared_constant(ctx):
 @given(polys_and_fractions(), polys_and_fractions())
 @settings(max_examples=80, deadline=None)
 def test_sums_and_products_match_the_textbook_formulas(x, y):
+    xn, xd, yn, yd = (_rational(p) for p in (x.num, x.den, y.num, y.den))
     textbook = {
-        "*": (_reference_mul(x.num, y.num), _reference_mul(x.den, y.den)),
-        "+": (_reference_mul(x.num, y.den).add(_reference_mul(y.num, x.den)),
-              _reference_mul(x.den, y.den)),
-        "-": (_reference_mul(x.num, y.den).sub(_reference_mul(y.num, x.den)),
-              _reference_mul(x.den, y.den)),
+        "*": (_ref_mul(xn, yn), _ref_mul(xd, yd)),
+        "+": (_ref_add(_ref_mul(xn, yd), _ref_mul(yn, xd)), _ref_mul(xd, yd)),
+        "-": (_ref_add(_ref_mul(xn, yd), _ref_mul(yn, xd), -1), _ref_mul(xd, yd)),
     }
     got = {"*": x * y, "+": x + y, "-": x - y}
     for op, (num, den) in textbook.items():
-        want = ScalarExpr.make(_CTX, num, den)
-        assert (got[op].num.terms, got[op].den.terms) == (want.num.terms, want.den.terms), op
+        want = ScalarExpr.make(_CTX, PolyExact.from_terms(num.items()),
+                               PolyExact.from_terms(den.items()))
+        assert (got[op].num, got[op].den) == (want.num, want.den), op
     results = [x, y, *got.values()] + ([x / y] if y else [])
     for r in results:
         assert r.den is _CTX._poly_one or not r.den.is_constant()
+
+
+@given(scalars(max_terms=2), st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_powers_match_repeated_products(x, k):
+    product = _CTX.one
+    for _ in range(k):
+        product = product * x
+    assert x ** k == product
+    if x and k:
+        assert x ** -k == 1 / product
+
+
+# -- the integer kernel against the rational reference ------------------------
+
+_CTXS = {n: ScalarContext(tuple(f"t{i}" for i in range(n))) for n in range(1, 5)}
+
+
+@st.composite
+def rational_polys(draw, nvars, active=None):
+    """A {exponents: Fraction} polynomial whose coefficient denominators are
+    at most 12, using only the variables in `active` (default: all)."""
+    active = range(nvars) if active is None else active
+    exps = st.tuples(*(st.integers(0, 2) if i in active else st.just(0)
+                       for i in range(nvars)))
+    coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    ref = {}
+    for e, c in draw(st.lists(st.tuples(exps, coeffs), max_size=4)):
+        ref[e] = ref.get(e, 0) + c
+    return {e: c for e, c in ref.items() if c}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_the_rational_reference(data):
+    nvars = data.draw(st.integers(1, 4))
+    ctx = _CTXS[nvars]
+    f, g, h = (data.draw(rational_polys(nvars)) for _ in range(3))
+    c = data.draw(st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12)))
+    F, G, H = (PolyExact.from_terms(r.items()) for r in (f, g, h))
+    for p, ref in ((F, f), (G, g), (H, h)):
+        _assert_matches(p, ref)
+    _assert_matches(F.add(G), _ref_add(f, g))
+    _assert_matches(F.sub(G), _ref_add(f, g, -1))
+    _assert_matches(F.mul(G), _ref_mul(f, g))
+    _assert_matches(F.scale(c), _ref_scale(f, c))
+    _assert_matches(F.monic(), _ref_monic(f))
+    if c != 1 and f:
+        assert F.scale(c) != F
+    if h:
+        _assert_matches(divexact(F.mul(H), H), f)
+        _assert_matches(poly_gcd(H, PolyExact({})), _ref_monic(h))
+    if not H.is_constant():
+        # h divides f*h but not f*h + 1, whatever f is
+        with pytest.raises(ValueError):
+            divexact(F.mul(H).add(PolyExact.constant(1, nvars)), H)
+
+    # p and q use disjoint sets of variables, so they are coprime and the
+    # gcd of p*h and q*h is h made monic
+    k = data.draw(st.integers(1, nvars))
+    p = data.draw(rational_polys(nvars, range(k)).filter(bool))
+    q = data.draw(rational_polys(nvars, range(k, nvars)).filter(bool))
+    P, Q = PolyExact.from_terms(p.items()), PolyExact.from_terms(q.items())
+    if not h:
+        return
+    _assert_matches(poly_gcd(P.mul(H), Q.mul(H)), _ref_monic(h))
+    # make() cancels h and leaves q monic
+    r = ScalarExpr.make(ctx, P.mul(H), Q.mul(H))
+    _assert_matches(r.num, _ref_scale(p, 1 / q[max(q)]))
+    _assert_matches(r.den, _ref_monic(q))
+    assert r.den is ctx._poly_one or not r.den.is_constant()
+    zero = ScalarExpr.make(ctx, PolyExact({}), Q)
+    assert zero is ctx.zero and zero.den is ctx._poly_one
+
+
+def test_integer_denominators_take_part_in_equality(ctx):
+    half = PolyExact.constant(Fraction(1, 2), ctx.nvars)
+    assert (half.terms, half.den) == ({(0, 0, 0, 0): 1}, 2)
+    assert half != ctx._poly_one
+    assert ctx.scalar(Fraction(1, 2)) != ctx.one
+    assert ctx.var("d1") / 2 != ctx.var("d1")

@@ -1,0 +1,69 @@
+"""Differential check of the polynomial kernel against sympy.
+
+sympy is a test-only dependency: this file is skipped where it is absent,
+and nothing under src/ imports it.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from svir.parse import parse_scalar  # noqa: E402
+from svir.scalar import PolyExact, ScalarContext, ScalarExpr, poly_gcd  # noqa: E402
+
+_CTXS = {n: ScalarContext(tuple(f"t{i}" for i in range(n))) for n in (3, 4)}
+
+
+@st.composite
+def poly_pairs(draw, nvars):
+    """One polynomial as a PolyExact and as a sympy expression."""
+    items = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 2)] * nvars),
+                  st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))),
+        max_size=4))
+    gens = sympy.symbols(_CTXS[nvars].names)
+    expr = sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(g ** e for g, e in zip(gens, exps)))
+                for exps, c in items), sympy.Integer(0))
+    return PolyExact.from_terms(items), expr
+
+
+def _sympy_terms(expr, nvars):
+    """{exponents: Fraction} of a sympy polynomial made monic in lex order."""
+    poly = sympy.Poly(expr, *sympy.symbols(_CTXS[nvars].names), domain="QQ")
+    if not poly.is_zero:
+        poly = poly.monic()
+    return {exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.as_dict().items()}
+
+
+def _terms(p):
+    return {e: Fraction(c, p.den) for e, c in p.terms.items()}
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_poly_gcd_matches_sympy(data):
+    nvars = data.draw(st.sampled_from([3, 4]))
+    (f, fs), (g, gs), (h, hs) = (data.draw(poly_pairs(nvars)) for _ in range(3))
+    got = poly_gcd(f.mul(h), g.mul(h))
+    if f.mul(h).is_zero() and g.mul(h).is_zero():
+        assert got.is_zero()
+        return
+    assert _terms(got) == _sympy_terms(sympy.gcd(sympy.expand(fs * hs),
+                                                 sympy.expand(gs * hs)), nvars)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_make_matches_sympy_cancel(data):
+    nvars = data.draw(st.sampled_from([3, 4]))
+    ctx = _CTXS[nvars]
+    (f, fs), (g, gs), (h, hs) = (data.draw(poly_pairs(nvars)) for _ in range(3))
+    if g.is_zero() or h.is_zero():
+        return
+    got = ScalarExpr.make(ctx, f.mul(h), g.mul(h))
+    text = str(sympy.cancel(fs / gs)).replace("**", "^")
+    assert got == parse_scalar(ctx, text)
