@@ -52,7 +52,12 @@ def _tokenize(text):
             break
         num, symbol, body, name, op = m.groups()
         if num is not None:
-            tokens.append(("num", int(num), m.start(1)))
+            try:
+                value = int(num)
+            except ValueError:  # past the interpreter's int-string digit limit
+                raise ParseError("integer literal has too many digits",
+                                 text, m.start(1)) from None
+            tokens.append(("num", value, m.start(1)))
         elif symbol is not None:
             tokens.append(("symbol", (symbol, body), m.start(2)))
         elif name is not None:

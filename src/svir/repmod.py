@@ -162,6 +162,7 @@ class SeriesModule:
         self.spec = spec
         self.algebra = SuperVirasoro(config)
         self._act_cache = {}
+        self._edge_cache = {}
 
     # -- basis vectors ---------------------------------------------------------
 
@@ -298,51 +299,80 @@ class SeriesModule:
 
     # -- box probes ----------------------------------------------------------------
 
+    def _edge_table(self, box: BoxSpec) -> "_EdgeTable":
+        table = self._edge_cache.get(box.radius)
+        if table is None:
+            table = _EdgeTable(self.basis_in_box(box))
+            self._edge_cache[box.radius] = table
+        return table
+
+    def _out_edges(self, basis, src) -> int:
+        """Bit j set when the generator taking src to basis[j] has a nonzero
+        coefficient there.  Each image is read once, so it skips the act_basis
+        memo."""
+        mask = 0
+        for j, tgt in enumerate(basis):
+            kind = Kind.L if tgt.kind == src.kind else Kind.G
+            image = self._act_basis(BasisElt(kind, tgt.index - src.index), src)
+            if image.coefficient(tgt) is not None:
+                mask |= 1 << j
+        return mask
+
+    def _reach(self, table, seeds: int) -> int:
+        """Mask of the vectors reachable from the seed mask, seeds included."""
+        edges = table.edges
+        reached = frontier = seeds
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            j = low.bit_length() - 1
+            out = edges[j]
+            if out is None:
+                out = edges[j] = self._out_edges(table.basis, table.basis[j])
+            out &= ~reached
+            reached |= out
+            frontier |= out
+        return reached
+
+    def _mask(self, table, vectors, message) -> int:
+        """Mask of in-box basis vectors; any other vector is an InputError."""
+        mask = 0
+        for v in vectors:
+            self._check_vector(v)
+            j = table.position.get(v)
+            if j is None:
+                raise InputError(message.format(v))
+            mask |= 1 << j
+        return mask
+
     def closure(self, seeds, box: BoxSpec) -> frozenset:
         """Least seed-containing set closed under every generator whose
         source and target indices both stay inside the box.
 
         A box-truncated under-approximation of the generated submodule;
         because all weight spaces are lines, the closure is a set of basis
-        vectors.
+        vectors, found as reachability over the box's edge table.
         """
-        seeds = list(seeds)
-        for s in seeds:
-            self._check_vector(s)
-            if not box.contains(s.index):
-                raise InputError(f"seed {s} lies outside the box")
-        targets = self.basis_in_box(box)
-        current = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            src = frontier.pop()
-            for tgt in targets:
-                if tgt in current:
-                    continue
-                kind = Kind.L if tgt.kind == src.kind else Kind.G
-                op = BasisElt(kind, tgt.index - src.index)
-                image = self.act_basis(op, src)
-                if image.coefficient(tgt) is not None:
-                    current.add(tgt)
-                    frontier.append(tgt)
-        return frozenset(current)
+        table = self._edge_table(box)
+        seeds = self._mask(table, seeds, "seed {} lies outside the box")
+        return frozenset(table.vectors(self._reach(table, seeds)))
 
     def simplicity_probe(self, box: BoxSpec) -> "SimplicityReport":
         """Closure of every in-box basis vector; proper closures are listed
         as candidate submodules.  Box-level evidence, not a proof."""
-        basis = self.basis_in_box(box)
-        full = set(basis)
+        table = self._edge_table(box)
+        full = (1 << len(table.basis)) - 1
         closures = []
-        candidates = []
-        seen = set()
-        for v in basis:
-            cl = self.closure([v], box)
-            closures.append((v, len(cl)))
-            if set(cl) != full and cl not in seen:
-                seen.add(cl)
-                candidates.append(tuple(sorted(cl, key=lambda b: b.sort_key())))
+        proper = set()
+        for j, v in enumerate(table.basis):
+            reached = self._reach(table, 1 << j)
+            closures.append((v, reached.bit_count()))
+            if reached != full:
+                proper.add(reached)
+        candidates = [tuple(sorted(table.vectors(m), key=lambda b: b.sort_key()))
+                      for m in proper]
         candidates.sort(key=lambda c: (len(c), [b.sort_key() for b in c]))
-        return SimplicityReport(tuple(closures), tuple(candidates), len(basis))
+        return SimplicityReport(tuple(closures), tuple(candidates), len(table.basis))
 
     def ghw_probe(self, v, bprime: LatticeBasis, k: int, box: BoxSpec):
         """Probe the generalized-highest-weight condition inside the box.
@@ -380,23 +410,39 @@ class SeriesModule:
     def quotient_dims(self, sub, box: BoxSpec):
         """Weight-dimension table of the box quotient by a closure-invariant
         set of basis vectors (quotienting deletes lines)."""
-        basis = self.basis_in_box(box)
-        full = set(basis)
+        table = self._edge_table(box)
         sub = set(sub)
-        for s in sub:
-            self._check_vector(s)
-            if s not in full:
-                raise InputError(f"{s} is not an in-box basis vector")
-        if self.closure(sub, box) != frozenset(sub):
+        mask = self._mask(table, sub, "{} is not an in-box basis vector")
+        if self._reach(table, mask) != mask:
             raise InvariantError("the subset is not closure-invariant in the box")
         rows = []
-        for v in sorted(basis, key=lambda b: b.sort_key()):
+        for v in sorted(table.basis, key=lambda b: b.sort_key()):
             rows.append(WeightDim(weight=self.weight_of(v),
                                   parity=v.index.parity,
                                   vector=v,
                                   in_submodule=v in sub,
                                   dim=0 if v in sub else 1))
         return rows
+
+
+class _EdgeTable:
+    """The in-box basis of one module, numbered in order, as a graph.
+
+    edges[i] is an int mask with bit j set when the generator taking
+    basis[i] to basis[j] has a nonzero coefficient there.  A mask is None
+    until a search first leaves basis[i], so a small closure probes only
+    the rows it reaches.
+    """
+
+    __slots__ = ("basis", "position", "edges")
+
+    def __init__(self, basis):
+        self.basis = basis
+        self.position = {v: j for j, v in enumerate(basis)}
+        self.edges = [None] * len(basis)
+
+    def vectors(self, mask):
+        return [self.basis[j] for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 @dataclass(frozen=True)

@@ -318,8 +318,9 @@ def _subresultant_prs_last(r0, r1, v):
     r0, r1 = _integral(r0), _integral(r1)
     nvars = len(next(iter(r0.terms)))
     d = _deg_in(r0, v) - _deg_in(r1, v)
-    beta = PolyExact.constant((-1) ** (d + 1), nvars)
-    psi = PolyExact.constant(-1, nvars)
+    const = (0,) * nvars  # exponents of a constant term
+    beta = PolyExact({const: (-1) ** (d + 1)})
+    psi = PolyExact({const: -1})
     prev, cur = r0, r1
     while True:
         rem = _prem(prev, cur, v)
@@ -362,7 +363,7 @@ def poly_gcd(f, g):
     gvars = g.variables()
     if not fvars or not gvars:
         nvars = len(next(iter(f.terms)))
-        return PolyExact.constant(1, nvars)
+        return PolyExact({(0,) * nvars: 1})
     v = max(fvars | gvars)
     if v not in fvars:
         return poly_gcd(f, _content_in(g, v))

@@ -420,6 +420,8 @@ _BAD_INPUTS = {
     "iso-dependent-rows": (None, _iso("[[1,0],[2,0]]")),
     "iso-ragged-rows": (None, _iso("[[1,0],[1]]")),
     "iso-alpha-0": (None, _iso("[[1]]", s="[0]", mprime="[[1]]", alpha="0")),
+    "exponent-literal-5000-digits": (None, ["bracket", "d1^" + "9" * 5000 + "*L[1,0]",
+                                            "L[0,0]"]),
 }
 
 

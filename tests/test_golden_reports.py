@@ -59,6 +59,15 @@ GOLDEN = {
     "quotient": (
         ("quotient", "--family", "SBprime", "--seeds", "y[0,0]", "--radius", "2"),
         "1a4f4b1a83975f7299431995bb76641127aac86dd2813fcf64d7e6fa2228641b"),
+    "simplicity-SA-r3": (
+        ("simplicity", "--family", "SA", "--radius", "3"),
+        "3171ee9abb3a7ba2d084c6d2e843f43f1372ccd3480b160d90004e56c809f3da"),
+    "simplicity-SAprime-r2": (
+        ("simplicity", "--family", "SAprime", "--radius", "2"),
+        "1a39517f2864150d4b2e3c3049ba0a60e15fe1c8ded2420fd48ab075c9abe23a"),
+    "quotient-SAprime": (
+        ("quotient", "--family", "SAprime", "--seeds", "x[0,0]", "--radius", "2"),
+        "3c85a4d53069469f4b9a4011a993d9ae0f07c61a3d1f91ba6aa7940943a5e068"),
 }
 
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,23 @@ def test_exponents_are_bounded(cfg):
         with pytest.raises(ParseError) as info:
             parse_scalar(ctx, text)
         assert info.value.pos == text.index("^") + 1
+
+
+def test_overlong_exponent_literal_is_a_parse_error(cfg):
+    # refused at the literal's offset, by the digit limit or by MAX_EXPONENT
+    text = "d1^" + "9" * 5000
+    with pytest.raises(ParseError) as info:
+        parse_scalar(cfg.ctx, text)
+    assert info.value.pos == 3
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter has no int-string digit limit")
+def test_integer_literal_past_the_digit_limit_is_a_parse_error(cfg):
+    text = "d1 + " + "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError, match="too many digits") as info:
+        parse_scalar(cfg.ctx, text)
+    assert info.value.pos == 5
 
 
 def test_scalar_print_parse_round_trip(cfg):

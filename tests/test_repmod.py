@@ -2,8 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svir.algebra import CENTRAL
+from svir.algebra import CENTRAL, BasisElt, Kind
 from svir.lattice import AlgebraConfig, LatticeBasis, Parity, ParityError
 from svir.repmod import (BoxSpec, Family, InvariantError, ModuleSpec,
                          SeriesModule)
@@ -167,6 +168,82 @@ def test_simplicity_probe_specialized_parameters():
     module = SeriesModule(cfg0, ModuleSpec.sa(cfg0.scalar(0), cfg0.scalar(HALF)))
     report = module.simplicity_probe(BoxSpec(1))
     assert [[str(b) for b in cand] for cand in report.candidates] == [["y[0,0]"]]
+
+
+# -- box closures against the direct worklist ----------------------------------
+
+def reference_closure(module, seeds, box):
+    """Box closure by the direct worklist: each popped vector probes every
+    in-box target not yet reached."""
+    targets = module.basis_in_box(box)
+    current = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        src = frontier.pop()
+        for tgt in targets:
+            if tgt in current:
+                continue
+            kind = Kind.L if tgt.kind == src.kind else Kind.G
+            image = module.act_basis(BasisElt(kind, tgt.index - src.index), src)
+            if image.coefficient(tgt) is not None:
+                current.add(tgt)
+                frontier.append(tgt)
+    return frozenset(current)
+
+
+def _probe_modules():
+    cfg = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "b", "a'"))
+    cfg0 = AlgebraConfig(2, ("d1", "d2"), (0, 0), extra_names=("a", "b"))
+    ap, zero, minus_d1 = cfg.var("a'"), cfg.scalar(0), -cfg.var("d1")
+    return {
+        "SA": SeriesModule(cfg, ModuleSpec.sa(cfg.var("a"), cfg.var("b"))),
+        "SAprime": SeriesModule(cfg, ModuleSpec.sa_prime(ap)),
+        "SBprime": SeriesModule(cfg, ModuleSpec.sb_prime(ap)),
+        # a = 0, b = 1/2 on an integral coset: y_0 becomes invariant
+        "SA-a=0,b=1/2": SeriesModule(cfg0, ModuleSpec.sa(cfg0.scalar(0),
+                                                         cfg0.scalar(HALF))),
+        "SAprime-a'=0": SeriesModule(cfg, ModuleSpec.sa_prime(zero)),
+        "SBprime-a'=0": SeriesModule(cfg, ModuleSpec.sb_prime(zero)),
+        # a' = -d1 zeroes the index-0 special cases at mu = [1,0], lambda = [1/2,0]
+        "SAprime-a'=-d1": SeriesModule(cfg, ModuleSpec.sa_prime(minus_d1)),
+        "SBprime-a'=-d1": SeriesModule(cfg, ModuleSpec.sb_prime(minus_d1)),
+    }
+
+
+_PROBE_MODULES = _probe_modules()
+_PROBE_BOXES = [BoxSpec(1), BoxSpec(Fraction(3, 2)), BoxSpec(2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_PROBE_MODULES)), st.sampled_from(_PROBE_BOXES), st.data())
+def test_closure_matches_the_direct_worklist(name, box, data):
+    module = _PROBE_MODULES[name]
+    basis = module.basis_in_box(box)
+    seeds = data.draw(st.lists(st.sampled_from(basis), max_size=4))
+    expected = reference_closure(module, seeds, box)
+    assert module.closure(seeds, box) == expected
+    if expected == frozenset(seeds):
+        rows = module.quotient_dims(set(seeds), box)
+        assert [r.vector for r in rows if r.dim == 0] == sorted(
+            expected, key=lambda b: b.sort_key())
+    else:
+        with pytest.raises(InvariantError):
+            module.quotient_dims(set(seeds), box)
+
+
+@pytest.mark.parametrize("box", _PROBE_BOXES, ids=["r1", "r3/2", "r2"])
+@pytest.mark.parametrize("name", sorted(_PROBE_MODULES))
+def test_simplicity_probe_matches_the_direct_worklist(name, box):
+    module = _PROBE_MODULES[name]
+    basis = module.basis_in_box(box)
+    closures = [reference_closure(module, [v], box) for v in basis]
+    candidates = sorted({tuple(sorted(cl, key=lambda b: b.sort_key()))
+                         for cl in closures if len(cl) < len(basis)},
+                        key=lambda c: (len(c), [b.sort_key() for b in c]))
+    report = module.simplicity_probe(box)
+    assert report.box_size == len(basis)
+    assert report.closures == tuple((v, len(cl)) for v, cl in zip(basis, closures))
+    assert report.candidates == tuple(candidates)
 
 
 def test_ghw_probe(cfg, sa, sb_prime):
