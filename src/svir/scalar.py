@@ -9,8 +9,17 @@ A polynomial holds integer coefficients over one positive integer
 denominator, so its arithmetic is integer arithmetic; ``Fraction`` is only
 where a rational enters or leaves a polynomial.
 
-All values are immutable and all operations are pure; instances can be
-shared freely between threads.
+Denominators are factored.  The context keeps an append-only base of monic
+linear polynomials, each irreducible, and every denominator is the product
+of powers of base factors and a monic cofactor the base does not cover (1
+in practice).  So ``*`` adds exponents, ``+`` brings both terms to the
+larger exponents, and cancellation is trial division by the base factors,
+with a gcd only against a cofactor.  The denominator is still kept
+expanded, interned by the context, so printing and equality see the same
+canonical polynomial.
+
+All values are immutable.  A context's tables only grow; they are not
+locked, so a context and its values belong to one thread.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
@@ -92,14 +102,6 @@ class PolyExact:
 
     def is_constant(self):
         return all(not any(e) for e in self.terms)
-
-    def constant_value(self):
-        if self.is_zero():
-            return _ZERO
-        ((exps, coeff),) = self.terms.items()
-        if any(exps):
-            raise ValueError("not a constant polynomial")
-        return Fraction(coeff, self.den)
 
     def leading_coeff(self):
         return Fraction(self.terms[max(self.terms)], self.den)
@@ -386,11 +388,63 @@ def poly_gcd(f, g):
 # Rational functions
 # ---------------------------------------------------------------------------
 
+class _Den(PolyExact):
+    """A canonical denominator: a monic polynomial interned by its context,
+    with its factorization ``prod(base[i] ** exps[i]) * rest`` over the
+    context's base of linear factors.
+
+    ``exps`` has no trailing zeros.  ``rest`` is the monic cofactor the base
+    did not cover when the denominator was first met, or None for 1.
+    ``serial`` numbers the denominators of one context, so a pair of them
+    keys the context's lcm cache without hashing a polynomial.
+    """
+
+    __slots__ = ("ctx", "exps", "rest", "serial")
+
+    def __init__(self, poly, ctx, exps, rest, serial):
+        super().__init__(poly.terms, poly.den)
+        self.ctx = ctx
+        self.exps = exps
+        self.rest = rest
+        self.serial = serial
+
+
+def _total_degree(p):
+    return max((sum(e) for e in p.terms), default=0)
+
+
+def _trim(exps):
+    """An exponent tuple without trailing zeros, so it outlives base growth."""
+    n = len(exps)
+    while n and not exps[n - 1]:
+        n -= 1
+    return tuple(exps[:n])
+
+
+def _divide_out(f, factor, limit):
+    """Divide f by factor while it divides, at most limit times: (quotient, times)."""
+    times = 0
+    while times < limit:
+        try:
+            f = divexact(f, factor)
+        except ValueError:
+            break
+        times += 1
+    return f, times
+
+
 class ScalarContext:
     """Fixed ordered set of indeterminates shared by a whole session.
 
     New symbols cannot be introduced after construction, which keeps the
     monomial order stable and canonical forms comparable.
+
+    The context also owns the session's denominators.  ``_base`` lists the
+    distinct monic linear polynomials met as factors of denominators, each
+    irreducible over Q.  Every denominator a scalar holds is interned here
+    as one ``_Den`` per polynomial, so equal denominators are identical, and
+    carries its exponents over the base.  These tables are append-only and
+    unlocked: a context serves one thread.
     """
 
     def __init__(self, names):
@@ -402,8 +456,12 @@ class ScalarContext:
                 raise InputError(f"invalid indeterminate name {name!r}")
         self.names = names
         self._by_name = {n: i for i, n in enumerate(names)}
+        self._base = []
+        self._by_poly = {}       # monic polynomial -> its _Den
+        self._by_factors = {}    # (exps, rest) -> _Den
+        self._lcms = {}          # (serial, serial) -> (lcm _Den, its two cofactors)
         self._poly_zero = PolyExact({})
-        self._poly_one = PolyExact.constant(1, len(names))
+        self._poly_one = self._new_den(PolyExact.constant(1, len(names)), (), None)
         self.zero = ScalarExpr(self, self._poly_zero, self._poly_one)
         self.one = ScalarExpr(self, self._poly_one, self._poly_one)
 
@@ -423,6 +481,92 @@ class ScalarContext:
             return self.zero
         return ScalarExpr(self, PolyExact.constant(value, self.nvars), self._poly_one)
 
+    # -- denominators -----------------------------------------------------------
+
+    def _new_den(self, poly, exps, rest):
+        den = _Den(poly, self, exps, rest, len(self._by_poly))
+        self._by_poly[den] = den
+        self._by_factors[exps, rest] = den
+        return den
+
+    def _expand(self, exps, rest):
+        poly = self._poly_one if rest is None else rest
+        for factor, e in zip(self._base, exps):
+            if e:
+                poly = poly.mul(_poly_pow(factor, e))
+        return poly
+
+    def _den(self, exps, rest):
+        """The interned denominator prod(base[i] ** exps[i]) * rest."""
+        den = self._by_factors.get((exps, rest))
+        if den is None:
+            poly = self._expand(exps, rest)
+            den = self._by_poly.get(poly)
+            if den is None:
+                den = self._new_den(poly, exps, rest)
+            else:
+                # two factorizations of one polynomial: a rest hides a base
+                # factor that joined after that rest was met
+                self._by_factors[exps, rest] = den
+        return den
+
+    def _intern(self, poly):
+        """The interned denominator equal to the monic polynomial poly.
+
+        A new one is trial-divided by the base once; a linear cofactor joins
+        the base, and any other becomes its rest.
+        """
+        den = self._by_poly.get(poly)
+        if den is None:
+            exps, cofactor = [], poly
+            for factor in self._base:
+                cofactor, e = _divide_out(cofactor, factor, _total_degree(cofactor))
+                exps.append(e)
+            degree, rest = _total_degree(cofactor), None
+            if degree == 1:
+                self._base.append(cofactor)
+                exps.append(1)
+            elif degree > 1:
+                rest = cofactor
+            den = self._new_den(poly, _trim(exps), rest)
+        return den
+
+    def _product(self, x, y):
+        """The interned denominator x * y: exponents add, rests multiply."""
+        one = self._poly_one
+        if x is one:
+            return y
+        if y is one:
+            return x
+        exps = tuple(map(sum, zip_longest(x.exps, y.exps, fillvalue=0)))
+        rx, ry = x.rest, y.rest
+        return self._den(exps, rx if ry is None else ry if rx is None else rx.mul(ry))
+
+    def _lcm(self, x, y):
+        """(l, l / x, l / y) for a common multiple l of x and y.
+
+        Over the base l is the least one: each exponent is the larger of
+        x's and y's.  Unequal rests are multiplied, and make() cancels what
+        they share.
+        """
+        key = (x.serial, y.serial)
+        hit = self._lcms.get(key)
+        if hit is None:
+            pairs = list(zip_longest(x.exps, y.exps, fillvalue=0))
+            top = tuple(map(max, pairs))
+            rx, ry = x.rest, y.rest
+            if rx is None or ry is None or rx == ry:
+                rest = rx if ry is None else ry
+                cx = ry if rx is None else None
+                cy = rx if ry is None else None
+            else:
+                rest, cx, cy = rx.mul(ry), ry, rx
+            hit = self._lcms[key] = (
+                self._den(top, rest),
+                self._expand([t - ex for t, (ex, _) in zip(top, pairs)], cx),
+                self._expand([t - ey for t, (_, ey) in zip(top, pairs)], cy))
+        return hit
+
     def __eq__(self, other):
         return isinstance(other, ScalarContext) and self.names == other.names
 
@@ -437,10 +581,11 @@ class ScalarExpr:
     """Element of the rational-function field, always in canonical form.
 
     Canonical form: gcd(num, den) = 1, den monic in the lex order, and zero
-    is 0/1.  Equal functions therefore compare structurally equal.  A
-    constant den is always the context's shared ``_poly_one`` object, so a
-    polynomial is recognised by identity and + and * on two polynomials
-    skip make().
+    is 0/1.  Equal functions therefore compare structurally equal.  The den
+    is the context's interned ``_Den`` for that polynomial, so equal
+    denominators are one object; a constant den is the shared
+    ``_poly_one``, so a polynomial is recognised by identity and + and * on
+    two polynomials skip make().
     """
 
     __slots__ = ("ctx", "num", "den", "_hash")
@@ -454,21 +599,45 @@ class ScalarExpr:
 
     @staticmethod
     def make(ctx, num, den):
+        """The canonical num / den; den may be any nonzero polynomial.
+
+        A denominator the context has not interned is made monic and
+        factored over the base (``ScalarContext._intern``).  Cancellation
+        then divides num by each base factor of den while it divides, at
+        most as often as den holds it, and takes a gcd with den's rest only
+        when the base does not cover den.  That is complete: afterwards no
+        base factor left in den divides the numerator num', and with
+        g = gcd(num', rest) the quotients num'/g and rest/g are coprime.  So
+        num'/g is coprime to the whole new denominator, even when rest
+        hides a factor that joined the base later.
+        """
         if den.is_zero():
             raise ScalarDivisionError("zero denominator")
         if num.is_zero():
             return ctx.zero
-        if not den.is_constant():
-            g = poly_gcd(num, den)
+        if not (isinstance(den, _Den) and den.ctx is ctx):
+            lc = den.leading_coeff()
+            if lc != 1:
+                num = num.scale(1 / lc)
+                den = den.monic()
+            den = ctx._intern(den)
+        exps, rest, cut = list(den.exps), den.rest, False
+        for i, (factor, e) in enumerate(zip(ctx._base, den.exps)):
+            if e:
+                num, times = _divide_out(num, factor, e)
+                if times:
+                    exps[i] -= times
+                    cut = True
+        if rest is not None:
+            g = poly_gcd(num, rest)
             if not g.is_constant():  # a monic constant is 1
                 num = divexact(num, g)
-                den = divexact(den, g)
-        lc = den.leading_coeff()
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.monic()
-        if den.is_constant():
-            den = ctx._poly_one
+                rest = divexact(rest, g)
+                if rest.is_constant():
+                    rest = None
+                cut = True
+        if cut:
+            den = ctx._den(_trim(exps), rest)
         return ScalarExpr(ctx, num, den)
 
     # -- predicates ---------------------------------------------------------
@@ -489,20 +658,24 @@ class ScalarExpr:
 
     def _coerce(self, other):
         if isinstance(other, ScalarExpr):
+            if other.ctx is self.ctx:
+                return other
             if other.ctx != self.ctx:
                 raise ValueError("mixed scalar contexts")
-            return other
+            # an equal context: intern the denominator here
+            return ScalarExpr.make(self.ctx, other.num, other.den)
         return self.ctx.scalar(other)
 
     def __add__(self, other):
         other = self._coerce(other)
-        one = self.ctx._poly_one
+        ctx = self.ctx
+        one = ctx._poly_one
         if self.den is one and other.den is one:
-            return ScalarExpr(self.ctx, self.num.add(other.num), one)
-        if self.den is other.den or self.den == other.den:
-            return ScalarExpr.make(self.ctx, self.num.add(other.num), self.den)
-        num = self.num.mul(other.den).add(other.num.mul(self.den))
-        return ScalarExpr.make(self.ctx, num, self.den.mul(other.den))
+            return ScalarExpr(ctx, self.num.add(other.num), one)
+        if self.den is other.den:
+            return ScalarExpr.make(ctx, self.num.add(other.num), self.den)
+        den, xs, ys = ctx._lcm(self.den, other.den)
+        return ScalarExpr.make(ctx, self.num.mul(xs).add(other.num.mul(ys)), den)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -519,10 +692,12 @@ class ScalarExpr:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        one = self.ctx._poly_one
+        ctx = self.ctx
+        one = ctx._poly_one
         if self.den is one and other.den is one:
-            return ScalarExpr(self.ctx, self.num.mul(other.num), one)
-        return ScalarExpr.make(self.ctx, self.num.mul(other.num), self.den.mul(other.den))
+            return ScalarExpr(ctx, self.num.mul(other.num), one)
+        return ScalarExpr.make(ctx, self.num.mul(other.num),
+                               ctx._product(self.den, other.den))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -531,7 +706,8 @@ class ScalarExpr:
         other = self._coerce(other)
         if other.is_zero():
             raise ScalarDivisionError("division by zero scalar")
-        return ScalarExpr.make(self.ctx, self.num.mul(other.den), self.den.mul(other.num))
+        # make() meets other.num as a denominator of its own
+        return self.__mul__(ScalarExpr.make(self.ctx, other.den, other.num))
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -574,12 +750,17 @@ class ScalarExpr:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            num = self.num
+            if self.den is self.ctx._poly_one and num.is_constant():
+                # equal to an int or a Fraction, so it hashes as that value
+                self._hash = hash(Fraction(sum(num.terms.values()), num.den))
+            else:
+                self._hash = hash((num, self.den))
         return self._hash
 
     def __str__(self):
         num = poly_str(self.num, self.ctx.names)
-        if self.den == self.ctx._poly_one:
+        if self.den is self.ctx._poly_one:
             return num
         return f"({num})/({poly_str(self.den, self.ctx.names)})"
 

@@ -226,6 +226,27 @@ def test_config_file(tmp_path):
     assert report["results"][0]["candidates"] == [["y[0,0]"]]
 
 
+def test_linear_parameter_denominators_need_no_gcd(tmp_path, monkeypatch):
+    """Every denominator of this run is a product of powers of a + 1 and
+    b + 4, so trial division by them cancels everything."""
+    import svir.scalar
+
+    calls = []
+    real = svir.scalar.poly_gcd
+
+    def counted(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(svir.scalar, "poly_gcd", counted)
+    config = tmp_path / "session.json"
+    config.write_text(json.dumps({"params": {"a": "1/(a+1)", "b": "7/(b+4)"}}))
+    code, report = run(tmp_path, "--config", str(config), "rep-fuzz", "--family", "SA",
+                       "--radius", "1/2", "--vector-radius", "1")
+    assert code == 0 and report["passed"] is True
+    assert calls == []
+
+
 def test_reports_are_deterministic(tmp_path):
     _, first = run(tmp_path, "jacobi-fuzz", "--radius", "1", name="a.json")
     _, second = run(tmp_path, "jacobi-fuzz", "--radius", "1", name="b.json")

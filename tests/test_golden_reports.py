@@ -1,12 +1,14 @@
-"""Byte-for-byte pins of the JSON reports of cheap default-config commands.
+"""Byte-for-byte pins of the JSON reports of cheap commands.
 
 Each digest is the sha256 of the report file the command writes.  A change
 that alters any report byte (a field, its order, a printed scalar) turns
 the matching case red.  The benchmark pins the reports of its own
-workloads; these cover the other commands.
+workloads; these cover the other commands, with the default configuration
+or with rational family parameters.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -71,8 +73,31 @@ GOLDEN = {
 }
 
 
-def report_digest(tmp_path, argv):
+# Reports with true fractions: linear denominators in the parameters, a
+# non-linear one (a^2 + 1) and a non-monic linear one (2*b + 4), and a
+# bracket whose coefficients cancel a non-linear factor.
+RATIONAL_GOLDEN = {
+    "act-SA-linear-params": (
+        {"params": {"a": "1/(a+1)", "b": "7/(b+4)"}},
+        ("act", "--family", "SA", "G[1/2,0]", "y[1/2,0]"),
+        "d3816e356dd840754bd0de928fcb58725f24df262ed9681fa47ac63bc8034821"),
+    "act-SA-nonlinear-params": (
+        {"params": {"a": "1/(a^2 + 1)", "b": "(b+1)/(2*b + 4)"}},
+        ("act", "--family", "SA", "L[1,0] + G[1/2,1]", "x[0,1] + y[-1/2,0]"),
+        "e3fd4f05b5a36323887fcca16e33084861fb414a590234a7197e9d8086c37cf8"),
+    "bracket-rational": (
+        {},
+        ("bracket", "(1/(d1^2+d2))*L[1,0]", "((d1^2+d2)/(d1+1))*L[0,0]"),
+        "5eab89d4aebf1d32abffc62be8faafa8fe230377f441dbc2a4e10e0e33f65554"),
+}
+
+
+def report_digest(tmp_path, argv, config=None):
     out = tmp_path / "report.json"
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ("--config", str(path), *argv)
     main(["--output", str(out), *argv])
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
@@ -81,3 +106,9 @@ def report_digest(tmp_path, argv):
 def test_report_bytes_are_pinned(tmp_path, name):
     argv, digest = GOLDEN[name]
     assert report_digest(tmp_path, argv) == digest
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_GOLDEN))
+def test_rational_report_bytes_are_pinned(tmp_path, name):
+    config, argv, digest = RATIONAL_GOLDEN[name]
+    assert report_digest(tmp_path, argv, config) == digest

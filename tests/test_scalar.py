@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from svir.scalar import (EvaluationError, PolyExact, ScalarContext,
                          ScalarDivisionError, ScalarExpr, divexact, poly_gcd)
 
+from factored import NAMES, build, factored_values
+
 
 @pytest.fixture(scope="module")
 def ctx():
@@ -362,3 +364,108 @@ def test_integer_denominators_take_part_in_equality(ctx):
     assert half != ctx._poly_one
     assert ctx.scalar(Fraction(1, 2)) != ctx.one
     assert ctx.var("d1") / 2 != ctx.var("d1")
+
+
+def test_constants_hash_as_their_value(ctx):
+    three, half = ctx.scalar(3), ctx.scalar(Fraction(1, 2))
+    assert 3 in {three} and three in {3}
+    assert {three: 1}.get(3) == 1
+    assert hash(half) == hash(Fraction(1, 2)) and Fraction(1, 2) in {half}
+    assert hash(ctx.zero) == hash(0)
+    d1 = ctx.var("d1")
+    assert hash((d1 + 3) - d1) == hash(3)
+    assert hash((2 * d1) / (4 * d1)) == hash(Fraction(1, 2))
+
+
+# -- denominators that factor over linear polynomials --------------------------
+
+def test_repeated_factors_cancel_completely():
+    ctx = ScalarContext(NAMES)
+    a, d1 = ctx.var("a"), ctx.var("d1")
+    inverse = 1 / (a + 1)    # a + 1 joins the base; its cube alone would not
+    x = (d1 - 2) * inverse ** 3
+    assert x == (d1 - 2) / (a + 1) ** 3 and x.den.exps == (3,)
+    assert x * (a + 1) ** 2 == (d1 - 2) * inverse
+    assert (x * (a + 1) ** 3).den is ctx._poly_one
+    assert x + 1 / (a + 1) ** 3 == (d1 - 1) / (a + 1) ** 3
+
+
+def test_a_cofactor_may_hide_a_later_base_factor():
+    ctx = ScalarContext(NAMES)
+    a, b = ctx.var("a"), ctx.var("b")
+    # (a + 1)(b + 3) is met before either factor is in the base
+    hidden = 1 / ((a + 1) * (b + 3))
+    later = (1 / (a + 1)) * (1 / (b + 3))
+    assert later == hidden and later.den is hidden.den
+    third = 1 / (b + 3)
+    assert hidden * (a + 1) == third and (hidden * (a + 1)).den is third.den
+    assert hidden + 1 / (a + 1) == (b + 4) / ((a + 1) * (b + 3))
+    assert 1 / (a + 1) ** 2 - hidden * (b + 3) / (a + 1) == 0
+
+
+def test_scalars_of_equal_contexts_mix():
+    first, second = ScalarContext(NAMES), ScalarContext(NAMES)
+    a1, a2 = first.var("a"), second.var("a")
+    # each context's base holds its own single factor
+    x, y = 1 / (a1 + 1), 1 / (a2 + 2)
+    assert x + y == (2 * a1 + 3) / ((a1 + 1) * (a1 + 2))
+    assert (x * y).den is (1 / ((a1 + 1) * (a1 + 2))).den
+
+
+def _linear(coeffs, const):
+    """The {exponents: Fraction} reference of a linear polynomial."""
+    ref = {tuple(int(i == j) for j in range(4)): Fraction(c) for i, c in enumerate(coeffs) if c}
+    if const:
+        ref[(0, 0, 0, 0)] = Fraction(const)
+    return ref
+
+
+def _reference(value):
+    """The (numerator, denominator) reference of a factored value, unreduced."""
+    top, bottom, cofactor, coeff = value
+    num, den = {(0, 0, 0, 0): coeff}, {(0, 0, 0, 0): Fraction(1)}
+    for factor in top:
+        num = _ref_mul(num, _linear(*factor))
+    for factor in bottom:
+        den = _ref_mul(den, _linear(*factor))
+    if cofactor:
+        den = _ref_mul(den, {e: Fraction(c) for e, c in cofactor.items()})
+    return num, den
+
+
+def _assert_reduces(r, num, den):
+    """r is the canonical num/den: the same function, den monic, coprime parts."""
+    rn, rd = _rational(r.num), _rational(r.den)
+    assert _ref_mul(rn, den) == _ref_mul(num, rd)
+    assert rd[max(rd)] == 1
+    assert poly_gcd(r.num, r.den).is_constant()
+    assert r.den is r.ctx._poly_one or not r.den.is_constant()
+
+
+@given(st.lists(factored_values(), min_size=3, max_size=3))
+@settings(max_examples=50, deadline=None)
+def test_factored_denominators_match_the_textbook_formulas(values):
+    ctx = ScalarContext(NAMES)
+    x, y = build(ctx, values[0]), build(ctx, values[1])
+    # z enters after x and y exist, so its new linear factors join the base
+    # in the middle of the session, as do those that / brings in below
+    z = build(ctx, values[2])
+    made = [x, y, z]
+    for (p, pv), (q, qv) in (((x, values[0]), (y, values[1])),
+                             ((y, values[1]), (z, values[2])),
+                             ((z, values[2]), (x, values[0]))):
+        _assert_reduces(p, *_reference(pv))
+        (pn, pd), (qn, qd) = _reference(pv), _reference(qv)
+        textbook = {
+            "*": (p * q, _ref_mul(pn, qn), _ref_mul(pd, qd)),
+            "/": (p / q, _ref_mul(pn, qd), _ref_mul(pd, qn)),
+            "+": (p + q, _ref_add(_ref_mul(pn, qd), _ref_mul(qn, pd)), _ref_mul(pd, qd)),
+            "-": (p - q, _ref_add(_ref_mul(pn, qd), _ref_mul(qn, pd), -1), _ref_mul(pd, qd)),
+        }
+        for r, num, den in textbook.values():
+            _assert_reduces(r, num, den)
+            made.append(r)
+    for r in made:
+        for s in made:
+            if r.den == s.den:
+                assert r.den is s.den

@@ -14,6 +14,8 @@ sympy = pytest.importorskip("sympy")
 from svir.parse import parse_scalar  # noqa: E402
 from svir.scalar import PolyExact, ScalarContext, ScalarExpr, poly_gcd  # noqa: E402
 
+from factored import NAMES, build, factored_values  # noqa: E402
+
 _CTXS = {n: ScalarContext(tuple(f"t{i}" for i in range(n))) for n in (3, 4)}
 
 
@@ -67,3 +69,48 @@ def test_make_matches_sympy_cancel(data):
     got = ScalarExpr.make(ctx, f.mul(h), g.mul(h))
     text = str(sympy.cancel(fs / gs)).replace("**", "^")
     assert got == parse_scalar(ctx, text)
+
+
+def _sympy_value(value, gens):
+    top, bottom, cofactor, coeff = value
+
+    def linear(coeffs, const):
+        return sum((c * g for c, g in zip(coeffs, gens)), sympy.Integer(const))
+
+    num = sympy.Rational(coeff.numerator, coeff.denominator) * sympy.Mul(*(linear(*f) for f in top))
+    den = sympy.Mul(*(linear(*f) for f in bottom))
+    if cofactor:
+        den *= sum(c * sympy.Mul(*(g ** e for g, e in zip(gens, exps)))
+                   for exps, c in cofactor.items())
+    return num / den
+
+
+def _canonical_terms(expr, gens):
+    """Numerator and denominator of sympy.cancel(expr), the denominator
+    monic in lex order, as {exponents: Fraction}."""
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    num, den = (sympy.Poly(p, *gens, domain="QQ").as_dict() for p in (num, den))
+    lead = den[max(den)]
+    return ({e: Fraction(int((c / lead).p), int((c / lead).q)) for e, c in num.items()},
+            {e: Fraction(int((c / lead).p), int((c / lead).q)) for e, c in den.items()})
+
+
+@given(st.lists(factored_values(), min_size=3, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_factored_denominators_match_sympy_cancel(values):
+    ctx = ScalarContext(NAMES)
+    gens = sympy.symbols(NAMES)
+    x, y = build(ctx, values[0]), build(ctx, values[1])
+    # z's new linear factors join the base after x and y exist
+    z = build(ctx, values[2])
+    xs, ys, zs = (_sympy_value(v, gens) for v in values)
+    made = [x, y, z]
+    for (p, ps), (q, qs) in (((x, xs), (y, ys)), ((y, ys), (z, zs)), ((z, zs), (x, xs))):
+        for r, expected in ((p, ps), (p * q, ps * qs), (p / q, ps / qs),
+                            (p + q, ps + qs), (p - q, ps - qs)):
+            assert (_terms(r.num), _terms(r.den)) == _canonical_terms(expected, gens)
+            made.append(r)
+    for r in made:
+        for s in made:
+            if r.den == s.den:
+                assert r.den is s.den
