@@ -5,28 +5,24 @@ half-integer coset, the graded bracket, the three intermediate-series
 module families, and a verification CLI.
 """
 
-from .scalar import (EvaluationError, InputError, PolyExact, ScalarContext,
-                     ScalarDivisionError, ScalarExpr)
-from .lattice import (AlgebraConfig, ConeSpec, IndexVector, LatticeBasis,
-                      NonUnimodularError, Parity, ParityError,
+from .scalar import (InputError, PolyExact, ScalarContext, ScalarDivisionError,
+                     ScalarExpr)
+from .lattice import (AlgebraConfig, ConeSpec, IndexVector, LatticeBasis, Parity,
                       adapted_cone_basis, change_of_coords, cone_inclusion_check,
                       cone_member, iso_check, nested_cone_basis, unimodular_det)
-from .algebra import (AlgebraElement, BasisElt, CENTRAL, DegenerateFactorError,
-                      HomogeneityError, Kind, SuperVirasoro)
-from .repmod import (BoxSpec, Family, InvariantError, ModuleBasisVector,
-                     ModuleSpec, ModuleVector, SeriesModule)
+from .algebra import AlgebraElement, BasisElt, CENTRAL, Kind, SuperVirasoro
+from .repmod import (BoxSpec, Family, ModuleBasisVector, ModuleSpec, ModuleVector,
+                     SeriesModule)
 from .parse import ParseError, parse_element, parse_index, parse_scalar
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraConfig", "AlgebraElement", "BasisElt", "BoxSpec", "CENTRAL",
-    "ConeSpec", "DegenerateFactorError", "EvaluationError", "Family",
-    "HomogeneityError", "IndexVector", "InputError", "InvariantError",
-    "Kind", "LatticeBasis", "ModuleBasisVector", "ModuleSpec", "ModuleVector",
-    "NonUnimodularError", "Parity", "ParityError", "ParseError", "PolyExact",
-    "ScalarContext", "ScalarDivisionError", "ScalarExpr", "SeriesModule",
-    "SuperVirasoro", "adapted_cone_basis", "change_of_coords",
+    "ConeSpec", "Family", "IndexVector", "InputError", "Kind", "LatticeBasis",
+    "ModuleBasisVector", "ModuleSpec", "ModuleVector", "Parity", "ParseError",
+    "PolyExact", "ScalarContext", "ScalarDivisionError", "ScalarExpr",
+    "SeriesModule", "SuperVirasoro", "adapted_cone_basis", "change_of_coords",
     "cone_inclusion_check", "cone_member", "iso_check", "nested_cone_basis",
     "parse_element", "parse_index", "parse_scalar", "unimodular_det",
 ]

@@ -23,17 +23,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .formal import FormalSum
-from .lattice import (AlgebraConfig, IndexVector, Parity, ParityError,
-                      adapted_cone_basis)
+from .lattice import AlgebraConfig, IndexVector, Parity, adapted_cone_basis
 from .scalar import InputError, ScalarExpr
-
-
-class HomogeneityError(InputError):
-    """An operation requires parity-homogeneous arguments."""
-
-
-class DegenerateFactorError(InputError):
-    """A ladder or witness scalar factor vanished (degenerate specialization)."""
 
 
 class Kind(Enum):
@@ -58,10 +49,10 @@ class BasisElt:
                 raise InputError("the central element carries no index")
         elif self.kind is Kind.L:
             if self.index is None or self.index.parity is not Parity.EVEN:
-                raise ParityError("L requires an even index")
+                raise InputError("L requires an even index")
         else:
             if self.index is None or self.index.parity is not Parity.ODD:
-                raise ParityError("G requires an odd index")
+                raise InputError("G requires an odd index")
 
     @property
     def parity(self) -> int:
@@ -183,7 +174,7 @@ class SuperVirasoro:
         x, y, z = self.element(x), self.element(y), self.element(z)
         px, py, pz = x.parity(), y.parity(), z.parity()
         if px is None or py is None or pz is None:
-            raise HomogeneityError("the Jacobi residual needs homogeneous inputs")
+            raise InputError("the Jacobi residual needs homogeneous inputs")
         inner = self.bracket(y, self.bracket(x, z))
         return AlgebraElement.sum((self.bracket(x, self.bracket(y, z)),
                                    -self.bracket(self.bracket(x, y), z),
@@ -209,9 +200,9 @@ class SuperVirasoro:
         if m < 1:
             raise InputError("m must be positive")
         if d.parity is not Parity.EVEN:
-            raise ParityError("the ladder steps by an even index")
+            raise InputError("the ladder steps by an even index")
         if mu.parity is not Parity.EVEN:
-            raise ParityError("mu must be an even index")
+            raise InputError("mu must be an even index")
         cfg = self.config
         e_d = cfg.embed(d)
         e_mu = cfg.embed(mu)
@@ -222,7 +213,7 @@ class SuperVirasoro:
         factors_g = [e_eta0 + e_d * Fraction(2 * i + 1, 2) for i in range(-1, m - 1)]
         for f in factors_l + factors_g:
             if f.is_zero():
-                raise DegenerateFactorError(
+                raise InputError(
                     "a ladder factor vanishes for this degenerate specialization")
 
         l_d = BasisElt(Kind.L, d)
@@ -275,7 +266,7 @@ class SuperVirasoro:
             for t in range(copies):
                 factor = e_mu * t + offset
                 if factor.is_zero():
-                    raise DegenerateFactorError("a witness product factor vanished")
+                    raise InputError("a witness product factor vanished")
                 product = product * factor
             target = adapted.basis.row_vector(row)
             got = self.ad_power(BasisElt(Kind.L, mu), copies, BasisElt(Kind.L, start))

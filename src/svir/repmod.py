@@ -35,15 +35,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .algebra import BasisElt, HomogeneityError, Kind, SuperVirasoro
+from .algebra import BasisElt, Kind, SuperVirasoro
 from .formal import FormalSum
-from .lattice import (AlgebraConfig, IndexVector, LatticeBasis, Parity,
-                      ParityError, change_of_coords, unimodular_det)
+from .lattice import (AlgebraConfig, ConeSpec, IndexVector, LatticeBasis, Parity,
+                      cone_member, unimodular_det)
 from .scalar import InputError, ScalarExpr, as_fraction
-
-
-class InvariantError(InputError):
-    """A subset claimed to be closure-invariant is not."""
 
 
 class Family(Enum):
@@ -175,7 +171,7 @@ class SeriesModule:
     def _check_vector(self, v: ModuleBasisVector):
         want = self.spec.x_parity if v.kind == "x" else self.spec.y_parity
         if v.index.parity is not want:
-            raise ParityError(
+            raise InputError(
                 f"{v.kind} carries {want.value} indices in {self.spec.family.value}")
 
     def vector(self, v) -> ModuleVector:
@@ -283,7 +279,7 @@ class SeriesModule:
         v = self.vector(v)
         pu, pw = u.parity(), w.parity()
         if pu is None or pw is None:
-            raise HomogeneityError("the module axiom check needs homogeneous generators")
+            raise InputError("the module axiom check needs homogeneous generators")
         cross = self.act(w, self.act(u, v))
         return ModuleVector.sum((self.act(self.algebra.bracket(u, w), v),
                                  -self.act(u, self.act(w, v)),
@@ -394,11 +390,9 @@ class SeriesModule:
             raise InputError("the cone basis must be unimodular")
         indices = [t.index for t in v.terms]
         for kind, parity in ((Kind.L, Parity.EVEN), (Kind.G, Parity.ODD)):
+            cone = ConeSpec(bprime, k, parity)
             for op_index in self.config.box(2 * box.radius, parity):
-                if op_index.is_zero():
-                    continue
-                coords = change_of_coords(op_index, bprime)
-                if any(c < k for c in coords):
+                if op_index.is_zero() or not cone_member(op_index, cone):
                     continue
                 if any(not box.contains(op_index + i) for i in indices):
                     continue
@@ -414,7 +408,7 @@ class SeriesModule:
         sub = set(sub)
         mask = self._mask(table, sub, "{} is not an in-box basis vector")
         if self._reach(table, mask) != mask:
-            raise InvariantError("the subset is not closure-invariant in the box")
+            raise InputError("the subset is not closure-invariant in the box")
         rows = []
         for v in sorted(table.basis, key=lambda b: b.sort_key()):
             rows.append(WeightDim(weight=self.weight_of(v),

@@ -43,10 +43,6 @@ class ScalarDivisionError(InputError, ZeroDivisionError):
     """Division by the zero rational function."""
 
 
-class EvaluationError(InputError):
-    """Evaluation failed: unassigned indeterminate or vanishing denominator."""
-
-
 def as_fraction(value) -> Fraction:
     """Coerce to an exact rational; floats are rejected by design."""
     if isinstance(value, float):
@@ -177,7 +173,7 @@ class PolyExact:
             for e, v in zip(exps, values):
                 if e:
                     if v is None:
-                        raise EvaluationError("indeterminate left unassigned")
+                        raise InputError("indeterminate left unassigned")
                     term *= v ** e
             total += term
         return total / self.den
@@ -437,7 +433,9 @@ class ScalarContext:
     """Fixed ordered set of indeterminates shared by a whole session.
 
     New symbols cannot be introduced after construction, which keeps the
-    monomial order stable and canonical forms comparable.
+    monomial order stable and canonical forms comparable.  A context is
+    equal only to itself: scalars of two contexts never mix, even when
+    their names agree.
 
     The context also owns the session's denominators.  ``_base`` lists the
     distinct monic linear polynomials met as factors of denominators, each
@@ -567,12 +565,6 @@ class ScalarContext:
                 self._expand([t - ey for t, (_, ey) in zip(top, pairs)], cy))
         return hit
 
-    def __eq__(self, other):
-        return isinstance(other, ScalarContext) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
-
     def __repr__(self):
         return f"ScalarContext({', '.join(self.names)})"
 
@@ -660,10 +652,7 @@ class ScalarExpr:
         if isinstance(other, ScalarExpr):
             if other.ctx is self.ctx:
                 return other
-            if other.ctx != self.ctx:
-                raise ValueError("mixed scalar contexts")
-            # an equal context: intern the denominator here
-            return ScalarExpr.make(self.ctx, other.num, other.den)
+            raise ValueError("mixed scalar contexts")
         return self.ctx.scalar(other)
 
     def __add__(self, other):
@@ -735,7 +724,7 @@ class ScalarExpr:
         num = self.num.evaluate(values)
         den = self.den.evaluate(values)
         if den == 0:
-            raise EvaluationError("denominator vanishes under the assignment")
+            raise InputError("denominator vanishes under the assignment")
         return num / den
 
     # -- equality and display -------------------------------------------------
@@ -746,7 +735,7 @@ class ScalarExpr:
                 other = self.ctx.scalar(other)
             else:
                 return NotImplemented
-        return self.ctx == other.ctx and self.num == other.num and self.den == other.den
+        return self.ctx is other.ctx and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         if self._hash is None:

@@ -68,7 +68,7 @@ def test_rep_fuzz_small(tmp_path):
 
 
 def test_cone_basis_command(tmp_path):
-    code, report = run(tmp_path, "cone-basis", "--k", "2", "--bound", "6")
+    code, report = run(tmp_path, "cone-basis", "--k", "2")
     assert code == 0
     det_result, inclusion = report["results"]
     assert det_result["det"] == 1
@@ -338,13 +338,6 @@ def test_ladder_without_steps_is_a_usage_error(tmp_path, capsys, m):
     assert capsys.readouterr().err.startswith(f"error: --m {m} checks no")
 
 
-@pytest.mark.parametrize("bound", ["0", "-1"])
-def test_cone_basis_without_combinations_is_a_usage_error(tmp_path, capsys, bound):
-    code, report = run(tmp_path, "cone-basis", "--k", "1", "--bound", bound)
-    assert code == 2 and report is None
-    assert capsys.readouterr().err.startswith(f"error: --bound {bound} checks no")
-
-
 def test_non_integral_basis_is_a_usage_error(tmp_path, capsys):
     code, report = run(tmp_path, "ghw", "--family", "SA", "--vector", "x[0,0]",
                        "--k", "1", "--radius", "2", "--basis", "[[3/2,0],[0,1]]")
@@ -425,6 +418,7 @@ _BAD_INPUTS = {
     "missing-config": (None, ["--config", "missing.json", *_BRACKET]),
     "duplicate-names": ({"d_names": ["d1", "d1"]}, _BRACKET),
     "rank-1-cone-basis": ({"n": 1}, ["cone-basis", "--k", "1"]),
+    "unknown-family": (None, ["simplicity", "--family", "SC"]),
     "rank-1-adapted-basis": ({"n": 1}, ["adapted-basis", "--mu", "[1]"]),
     "box-radius-0": (None, ["simplicity", "--family", "SA", "--radius", "0"]),
     "box-radius-half": (None, ["simplicity", "--family", "SA", "--radius", "1/2"]),

@@ -40,8 +40,8 @@ GOLDEN = {
         ("rep-fuzz", "--family", "SA", "--radius", "1/2"),
         "8a043c4b85fff919240f90805ce096b9e826e7d61d7dd7566712536d91d3d9f9"),
     "cone-basis": (
-        ("cone-basis", "--k", "2", "--bound", "6"),
-        "8189ad40ab7818354af8e31751db71138a3ce03883b53d40b9ee00da97144ec1"),
+        ("cone-basis", "--k", "2"),
+        "7c70fed97656244fb2469be115fbab2e3d59fe5f24d43eaae3c8511d76ca8539"),
     "adapted-basis": (
         ("adapted-basis", "--mu", "[1,2]"),
         "070a2f47b5d42661145eceab7d0d456e4e4c9100c9a67a02b78dd7a83e2951ad"),

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svir.lattice import (AlgebraConfig, ConeSpec, LatticeBasis,
-                          NonUnimodularError, Parity, ParityError,
+from svir.lattice import (AlgebraConfig, ConeSpec, LatticeBasis, Parity,
                           adapted_cone_basis, change_of_coords,
                           cone_inclusion_check, cone_member, iso_check,
                           nested_cone_basis, unimodular_det)
 from svir.parse import parse_index
+from svir.scalar import InputError
 
 HALF = Fraction(1, 2)
 
@@ -28,11 +28,11 @@ def test_embed_is_injective_on_a_box(cfg):
 
 
 def test_parity_validation(cfg):
-    with pytest.raises(ParityError):
+    with pytest.raises(InputError, match="are not in the even class"):
         cfg.even((HALF, 0))
-    with pytest.raises(ParityError):
+    with pytest.raises(InputError, match="are not in the odd class"):
         cfg.odd((1, 0))
-    with pytest.raises(ParityError):
+    with pytest.raises(InputError, match="are not in the odd class"):
         cfg.odd((HALF, HALF))
 
 
@@ -64,7 +64,7 @@ def test_cone_member(cfg):
     assert not cone_member(cfg.even((2, 1)), even_cone)
     odd_cone = ConeSpec(LatticeBasis.identity(2), 0, Parity.ODD)
     assert cone_member(cfg.odd((Fraction(3, 2), 2)), odd_cone)
-    with pytest.raises(ParityError):
+    with pytest.raises(InputError, match="does not match the cone parity"):
         cone_member(cfg.even((1, 1)), odd_cone)
 
 
@@ -79,10 +79,46 @@ def test_cone_inclusion_frozen_coordinates():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("k", range(5))
 def test_cone_inclusion_exhaustive(n, k):
-    report = cone_inclusion_check(k, nested_cone_basis(n, k), 6)
+    report = cone_inclusion_check(k, nested_cone_basis(n, k))
     assert report.ok
-    assert report.checked > 0
     assert not report.violations
+
+
+def _bounded_violations(k, rows, bound):
+    """Every nonzero nonnegative combination of rows with coefficient sum
+    <= bound whose coordinates are not all >= k, found by enumeration."""
+    n = len(rows)
+    violations = []
+    for m in itertools.product(range(bound + 1), repeat=n):
+        if 0 < sum(m) <= bound:
+            coords = tuple(sum(mi * row[j] for mi, row in zip(m, rows)) for j in range(n))
+            if any(c < k for c in coords):
+                violations.append((m, coords))
+    return violations
+
+
+@given(st.integers(1, 3).flatmap(
+           lambda n: st.lists(st.lists(st.integers(-2, 5), min_size=n, max_size=n),
+                              min_size=n, max_size=n)),
+       st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_cone_inclusion_matches_bounded_enumeration(rows, k):
+    report = cone_inclusion_check(k, LatticeBasis(tuple(map(tuple, rows))))
+    bounded = _bounded_violations(k, rows, 4)
+    assert report.ok == (not bounded)
+    assert set(report.violations) <= set(bounded)
+    assert {m for m, _ in report.violations} == {
+        m for m, _ in bounded if sum(m) == 1}
+
+
+def test_cone_inclusion_reports_rows_as_unit_combinations():
+    report = cone_inclusion_check(2, LatticeBasis(((3, 2), (1, 4))))
+    assert not report.ok
+    assert report.violations == (((0, 1), (1, 4)),)
+    assert report.to_dict() == {"k": 2, "ok": False, "violations": [
+        {"m_prime": [0, 1], "coords": ["1", "4"]}]}
+    with pytest.raises(InputError, match="nonnegative"):
+        cone_inclusion_check(-1, LatticeBasis.identity(2))
 
 
 def test_unimodular_det_examples():
@@ -90,6 +126,30 @@ def test_unimodular_det_examples():
     assert unimodular_det(LatticeBasis(((3, 2), (4, 3)))) == 1
     assert unimodular_det(LatticeBasis(((2, 0), (0, 1)))) == 2
     assert unimodular_det(LatticeBasis(((0, 1), (0, 2)))) == 0
+    # a zero pivot swaps rows, and each swap flips the sign
+    assert unimodular_det(LatticeBasis(((0, 1), (1, 0)))) == -1
+    assert unimodular_det(LatticeBasis(((0, 0, 1), (0, 1, 0), (1, 0, 0)))) == -1
+
+
+def _leibniz_det(rows):
+    """Determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, p in enumerate(perm):
+            term *= rows[i][p]
+        total += term
+    return total
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3) | st.just(0), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_unimodular_det_matches_the_leibniz_formula(rows):
+    assert unimodular_det(LatticeBasis(tuple(map(tuple, rows)))) == _leibniz_det(rows)
 
 
 def test_adapted_basis_examples(cfg):
@@ -148,7 +208,7 @@ def test_change_of_coords(cfg):
     assert change_of_coords(cfg.even((1, 1)), bprime) == (1, -1)
     v = cfg.even((3, -2))
     assert change_of_coords(v, LatticeBasis.identity(2)) == v.coords
-    with pytest.raises(NonUnimodularError):
+    with pytest.raises(InputError, match="needs a unimodular basis"):
         change_of_coords(v, LatticeBasis(((2, 0), (0, 1))))
 
 
@@ -169,6 +229,8 @@ def test_iso_check_examples():
     assert iso_check([[1, 0], [0, 1]], [HALF, 0], [[1, 0], [0, 1]], [HALF, 0], 1)
     # 2 * Zu is not 3Zu
     assert not iso_check([[1]], [HALF], [[3]], [1], 2)
+    # 2Zu sits inside Zu only as an index-2 sublattice
+    assert not iso_check([[1]], [0], [[2]], [0], 1)
 
 
 def test_iso_check_shift_condition():
@@ -192,6 +254,10 @@ def test_iso_check_rank_two_ambient():
     assert not iso_check(m, [0, 0], [[2, 0], [0, 3]], [0, 0], 2)
     with pytest.raises(ValueError):
         iso_check([[1, 0], [2, 0]], [0, 0], doubled, [0, 0], 2)
+    # a row of M' outside the span of alpha*M
+    assert not iso_check([[1, 0]], [0, 0], [[0, 1]], [0, 0], 1)
+    with pytest.raises(InputError, match="same rank"):
+        iso_check(m, [0, 0], [[1, 0]], [0, 0], 1)
 
 
 def test_index_vector_arithmetic(cfg):
@@ -200,7 +266,7 @@ def test_index_vector_arithmetic(cfg):
     assert v.coords == (Fraction(3, 2), Fraction(2))
     w = cfg.odd((HALF, 0)) + cfg.odd((HALF, 1))
     assert w.parity is Parity.EVEN
-    with pytest.raises(ParityError):
+    with pytest.raises(InputError, match="only even index vectors"):
         cfg.odd((HALF, 0)).scale(2)
 
 
@@ -234,7 +300,7 @@ def test_index_vectors_agree_with_fraction_coordinates(case, m, twice_radius):
     assert cfg.sigma_index.coords == sigma
     u, v = cfg.index(cu, pu), cfg.index(cv, pv)
     assert u.coords == cu and v.coords == cv
-    with pytest.raises(ParityError):
+    with pytest.raises(InputError, match=f"are not in the {pu.value} class"):
         cfg.index((cu[0] + HALF,) + cu[1:], pu)
     assert parse_index(cfg, str(u), pu) == u
     total, diff = u + v, u - v

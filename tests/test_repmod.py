@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svir.algebra import CENTRAL, BasisElt, Kind
-from svir.lattice import AlgebraConfig, LatticeBasis, Parity, ParityError
-from svir.repmod import (BoxSpec, Family, InvariantError, ModuleSpec,
-                         SeriesModule)
+from svir.lattice import AlgebraConfig, LatticeBasis, Parity
+from svir.repmod import BoxSpec, Family, ModuleSpec, SeriesModule
+from svir.scalar import InputError
 
 HALF = Fraction(1, 2)
 
@@ -109,12 +109,12 @@ def test_weight_additivity_and_injectivity(cfg, sa, sv):
 
 
 def test_parity_validation(cfg, sa, sb_prime):
-    with pytest.raises(ParityError):
+    with pytest.raises(InputError, match="are not in the even class"):
         sa.x((HALF, 0))
-    with pytest.raises(ParityError):
+    with pytest.raises(InputError, match="are not in the odd class"):
         sb_prime.x((1, 0))
     # a vector built for SA cannot be fed to SB'
-    with pytest.raises(ParityError):
+    with pytest.raises(InputError, match="x carries odd indices in SBprime"):
         sb_prime.vector(sa.x((0, 0)))
 
 
@@ -227,7 +227,7 @@ def test_closure_matches_the_direct_worklist(name, box, data):
         assert [r.vector for r in rows if r.dim == 0] == sorted(
             expected, key=lambda b: b.sort_key())
     else:
-        with pytest.raises(InvariantError):
+        with pytest.raises(InputError, match="not closure-invariant"):
             module.quotient_dims(set(seeds), box)
 
 
@@ -289,7 +289,7 @@ def test_quotient_dims(cfg, sb_prime):
 
 
 def test_quotient_requires_invariant_subset(cfg, sa):
-    with pytest.raises(InvariantError):
+    with pytest.raises(InputError, match="not closure-invariant"):
         sa.quotient_dims({sa.x((0, 0))}, BoxSpec(1))
 
 
