@@ -205,41 +205,40 @@ class SuperVirasoro:
             raise InputError("mu must be an even index")
         cfg = self.config
         e_d = cfg.embed(d)
-        e_mu = cfg.embed(mu)
-
-        factors_l = [e_mu + e_d * i for i in range(-1, m - 1)]
         eta0 = cfg.sigma_index + mu
-        e_eta0 = cfg.embed(eta0)
-        factors_g = [e_eta0 + e_d * Fraction(2 * i + 1, 2) for i in range(-1, m - 1)]
-        for f in factors_l + factors_g:
-            if f.is_zero():
-                raise InputError(
-                    "a ladder factor vanishes for this degenerate specialization")
-
         l_d = BasisElt(Kind.L, d)
-        prod_l = cfg.ctx.one
-        for f in factors_l:
-            prod_l = prod_l * f
-        lhs_l = self.element(BasisElt(Kind.L, mu + d.scale(m))).scale(prod_l)
-        ok_l = self.ad_power(l_d, m, BasisElt(Kind.L, mu)) == lhs_l
-
-        prod_g = cfg.ctx.one
-        for f in factors_g:
-            prod_g = prod_g * f
-        lhs_g = self.element(BasisElt(Kind.G, eta0 + d.scale(m))).scale(prod_g)
-        ok_g = self.ad_power(l_d, m, BasisElt(Kind.G, eta0)) == lhs_g
+        steps = range(-1, m - 1)
+        message = "a ladder factor vanishes for this degenerate specialization"
+        _, ok_l = self._scaled_power_check(
+            l_d, BasisElt(Kind.L, mu), BasisElt(Kind.L, mu + d.scale(m)),
+            [cfg.embed(mu) + e_d * i for i in steps], message)
+        _, ok_g = self._scaled_power_check(
+            l_d, BasisElt(Kind.G, eta0), BasisElt(Kind.G, eta0 + d.scale(m)),
+            [cfg.embed(eta0) + e_d * Fraction(2 * i + 1, 2) for i in steps], message)
         return ok_l and ok_g
+
+    def _scaled_power_check(self, x, start, target, factors, message):
+        """(product of factors, whether ad_x^len(factors) start equals target
+        times that product).  A vanishing factor is an InputError(message)."""
+        product = self.config.ctx.one
+        for f in factors:
+            if f.is_zero():
+                raise InputError(message)
+            product = product * f
+        got = self.ad_power(x, len(factors), start)
+        return product, got == self.element(target).scale(product)
 
     # -- adapted-basis bracket witnesses ---------------------------------------
 
-    def bracket_generation_witness(self, mu: IndexVector) -> "WitnessReport":
+    def bracket_generation_witness(self, mu: IndexVector):
         """Certify that every adapted-basis generator is bracket-reachable.
 
         For the basis returned by adapted_cone_basis(mu), each row d'_i is
         produced from a generator whose index differs from mu by a vector
         with coordinates in {-1, 0, 1}, by applying ad L_mu a recorded
         number of times; the resulting scalar is compared exactly with the
-        product of the step factors (the empty product is 1).
+        product of the step factors (the empty product is 1).  Returns
+        (adapted basis, one WitnessEntry per row, verdict).
         """
         cfg = self.config
         adapted = adapted_cone_basis(mu)
@@ -260,27 +259,24 @@ class SuperVirasoro:
             for i in range(n):
                 chains.append((i, adapted.basis.row_vector(i), 0, cfg.ctx.zero))
 
+        l_mu = BasisElt(Kind.L, mu)
         entries = []
         for row, start, copies, offset in chains:
-            product = cfg.ctx.one
-            for t in range(copies):
-                factor = e_mu * t + offset
-                if factor.is_zero():
-                    raise InputError("a witness product factor vanished")
-                product = product * factor
-            target = adapted.basis.row_vector(row)
-            got = self.ad_power(BasisElt(Kind.L, mu), copies, BasisElt(Kind.L, start))
-            expected = self.element(BasisElt(Kind.L, target)).scale(product)
+            product, bracket_ok = self._scaled_power_check(
+                l_mu, BasisElt(Kind.L, start), BasisElt(Kind.L, adapted.basis.row_vector(row)),
+                [e_mu * t + offset for t in range(copies)],
+                "a witness product factor vanished")
             step = start - mu
             in_a = all(abs(t) <= 2 for t in step.twice)
-            entries.append(WitnessEntry(row, start, copies, product,
-                                        step, in_a, got == expected))
+            entries.append(WitnessEntry(row, start, copies, product, step, in_a, bracket_ok))
         ok = all(e.step_in_neighborhood and e.bracket_ok for e in entries)
-        return WitnessReport(adapted, tuple(entries), ok)
+        return adapted, tuple(entries), ok
 
 
 @dataclass(frozen=True)
 class WitnessEntry:
+    """One adapted-basis row reached from L_start by copies ad L_mu steps."""
+
     row: int
     start: IndexVector
     copies: int
@@ -288,28 +284,3 @@ class WitnessEntry:
     step: IndexVector
     step_in_neighborhood: bool
     bracket_ok: bool
-
-    def to_dict(self):
-        return {
-            "row": self.row,
-            "start": str(self.start),
-            "copies": self.copies,
-            "product": str(self.product),
-            "step": str(self.step),
-            "step_in_neighborhood": self.step_in_neighborhood,
-            "bracket_ok": self.bracket_ok,
-        }
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    adapted: object
-    entries: tuple
-    ok: bool
-
-    def to_dict(self):
-        return {
-            "adapted_basis": self.adapted.to_dict(),
-            "entries": [e.to_dict() for e in self.entries],
-            "ok": self.ok,
-        }

@@ -1,4 +1,4 @@
-"""Command-line surface: batch verification with JSON reports.
+"""Command-line surface, and the one writer of the JSON reports.
 
 Every run echoes its command and configuration, writes a JSON report with a
 stable schema version, prints a human-readable summary, and exits 0 when
@@ -27,6 +27,12 @@ from .repmod import BoxSpec, Family, ModuleSpec, ModuleVector, SeriesModule
 from .scalar import InputError
 
 SCHEMA_VERSION = 1
+
+# the most checks one run may make; a larger run is refused before it starts
+MAX_CHECKS = 10**6
+
+_BOX_NOTE = ("box-level evidence only: operators leaving the box are not "
+             "applied, so candidates are not proofs of submodules")
 
 # JSON type of each config key; a missing or null key takes its default
 _CONFIG_TYPES = {"n": int, "d_names": list, "sigma": list, "extra_names": list,
@@ -107,6 +113,27 @@ def _basis_elements(config, radius):
                  for v in config.box(radius, parity)) + (CENTRAL,)
 
 
+def _box_size(config, radius):
+    """Indices of both parities inside the box, counted without enumerating
+    them: the basis vectors of any module, and with c the basis elements."""
+    return config.box_size(radius, Parity.EVEN) + config.box_size(radius, Parity.ODD)
+
+
+def _limit_checks(checks):
+    """Refuse a run of more than MAX_CHECKS checks, before it starts."""
+    if checks > MAX_CHECKS:
+        raise InputError(f"this run needs {checks:,} checks, more than the limit "
+                         f"of {MAX_CHECKS:,}; choose a smaller radius")
+
+
+def _family_fields(spec):
+    """Report fields of a module: its family, parameters and specialized ones."""
+    params = spec.params()
+    return {"family": spec.family.value,
+            "params": {k: str(v) for k, v in params.items()},
+            "specialized_params": sorted(k for k, v in params.items() if v.is_constant())}
+
+
 # ---------------------------------------------------------------------------
 # Command handlers: each returns (results, lines); a result with
 # status == "fail" makes the run exit nonzero.
@@ -136,16 +163,16 @@ def cmd_act(session, args):
 
 def cmd_jacobi_fuzz(session, args):
     radius = session.resolve_radius(args.radius)
+    _limit_checks((_box_size(session.config, radius) + 1) ** 3)
     sv = SuperVirasoro(session.config)
     elems = _basis_elements(session.config, radius)
-    checked = 0
     failures = []
     for x, y, z in itertools.product(elems, repeat=3):
         residual = sv.super_jacobi_residual(x, y, z)
-        checked += 1
         if not residual.is_zero():
             failures.append({"triple": [str(x), str(y), str(z)],
                              "residual": str(residual)})
+    checked = len(elems) ** 3
     status = "fail" if failures else "pass"
     results = [{"check": "super_jacobi", "status": status,
                 "radius": str(radius), "triples": checked,
@@ -161,17 +188,17 @@ def cmd_jacobi_fuzz(session, args):
 
 def cmd_antisym(session, args):
     radius = session.resolve_radius(args.radius)
+    _limit_checks((_box_size(session.config, radius) + 1) ** 2)
     sv = SuperVirasoro(session.config)
     elems = _basis_elements(session.config, radius)
     failures = []
-    checked = 0
     for x, y in itertools.product(elems, repeat=2):
         lhs = sv.bracket_basis(x, y)
         rhs = sv.bracket_basis(y, x)
         flipped = rhs if (x.parity and y.parity) else -rhs
-        checked += 1
         if lhs != flipped:
             failures.append({"pair": [str(x), str(y)]})
+    checked = len(elems) ** 2
     central = [str(x) for x in elems if not sv.bracket_basis(CENTRAL, x).is_zero()]
     results = [{"check": "graded_antisymmetry", "status": "pass" if not failures else "fail",
                 "pairs": checked, "failures": failures},
@@ -186,19 +213,20 @@ def cmd_rep_fuzz(session, args):
     radius = session.resolve_radius(args.radius)
     vradius = parse_rational(args.vector_radius)
     module = session.module()
+    _limit_checks((_box_size(session.config, radius) + 1) ** 2
+                  * _box_size(session.config, vradius))
     elems = _basis_elements(session.config, radius)
     vectors = module.basis_in_box(BoxSpec(vradius))
-    checked = 0
     failures = []
     for u, w in itertools.product(elems, repeat=2):
         for v in vectors:
             residual = module.rep_residual(u, w, v)
-            checked += 1
             if not residual.is_zero():
                 failures.append({"u": str(u), "w": str(w), "v": str(v),
                                  "residual": str(residual)})
+    checked = len(elems) ** 2 * len(vectors)
     status = "fail" if failures else "pass"
-    results = [{"check": "rep_axiom", "status": status, **module.spec.to_dict(),
+    results = [{"check": "rep_axiom", "status": status, **_family_fields(module.spec),
                 "triples": checked, "failures": failures}]
     lines = [f"rep-fuzz {module.spec.family.value}: {checked} triples "
              f"(generators radius {radius}, vectors radius {vradius}): "
@@ -209,31 +237,39 @@ def cmd_rep_fuzz(session, args):
 
 
 def cmd_cone_basis(session, args):
-    n = session.config.n
-    basis = nested_cone_basis(n, args.k)
+    basis = nested_cone_basis(session.config.n, args.k)
     det = unimodular_det(basis)
-    report = cone_inclusion_check(args.k, basis)
-    det_ok = det == 1
-    results = [{"check": "nested_cone_basis_det", "status": "pass" if det_ok else "fail",
+    violations = cone_inclusion_check(args.k, basis)
+    results = [{"check": "nested_cone_basis_det", "status": "pass" if det == 1 else "fail",
                 "k": args.k, "basis": [list(r) for r in basis.rows], "det": det},
-               {"check": "cone_inclusion", "status": "pass" if report.ok else "fail",
-                **report.to_dict()}]
+               {"check": "cone_inclusion", "status": "fail" if violations else "pass",
+                "k": args.k, "ok": not violations,
+                "violations": [{"m_prime": list(m), "coords": [str(c) for c in coords]}
+                               for m, coords in violations]}]
     lines = [f"cone-basis k={args.k}: det={det}, inclusion checked on every "
-             f"nonnegative combination, {len(report.violations)} violations"]
+             f"nonnegative combination, {len(violations)} violations"]
     return results, lines
 
 
 def cmd_adapted_basis(session, args):
     mu = parse_index(session.config, args.mu)
     sv = SuperVirasoro(session.config)
-    witness = sv.bracket_generation_witness(mu)
-    results = [{"check": "adapted_basis_witness",
-                "status": "pass" if witness.ok else "fail",
-                "mu": str(mu), **witness.to_dict()}]
-    det = unimodular_det(witness.adapted.basis)
-    lines = [f"adapted-basis mu={mu}: case {witness.adapted.case}, det={det}, "
-             f"witness {'verified' if witness.ok else 'FAILED'}"]
-    for e in witness.entries:
+    adapted, entries, ok = sv.bracket_generation_witness(mu)
+    det = unimodular_det(adapted.basis)
+    results = [{"check": "adapted_basis_witness", "status": "pass" if ok else "fail",
+                "mu": str(mu), "ok": ok,
+                "adapted_basis": {"basis": [list(r) for r in adapted.basis.rows],
+                                  "case": adapted.case,
+                                  "sign_flips": list(adapted.sign_flips),
+                                  "permutation": list(adapted.permutation),
+                                  "det": det},
+                "entries": [{"row": e.row, "start": str(e.start), "copies": e.copies,
+                             "product": str(e.product), "step": str(e.step),
+                             "step_in_neighborhood": e.step_in_neighborhood,
+                             "bracket_ok": e.bracket_ok} for e in entries]}]
+    lines = [f"adapted-basis mu={mu}: case {adapted.case}, det={det}, "
+             f"witness {'verified' if ok else 'FAILED'}"]
+    for e in entries:
         lines.append(f"  row {e.row}: {e.copies} bracket steps from L{e.start}, "
                      f"scalar {e.product}")
     return results, lines
@@ -272,13 +308,17 @@ def cmd_iso_check(session, args):
 def cmd_simplicity(session, args):
     radius = session.resolve_radius(args.radius)
     module = session.module()
-    report = module.simplicity_probe(BoxSpec(radius))
+    _limit_checks(_box_size(session.config, radius) ** 2)
+    closures, candidates = module.simplicity_probe(BoxSpec(radius))
     results = [{"check": "simplicity_probe", "status": "info",
-                **module.spec.to_dict(), **report.to_dict()}]
+                **_family_fields(module.spec), "box_size": len(closures),
+                "closures": [{"seed": str(v), "closure_size": size} for v, size in closures],
+                "candidates": [[str(b) for b in cand] for cand in candidates],
+                "note": _BOX_NOTE}]
     lines = [f"simplicity {module.spec.family.value} (radius {radius}): "
-             f"{len(report.candidates)} candidate submodule(s) among "
-             f"{report.box_size} basis vectors [{report.note}]"]
-    for cand in report.candidates:
+             f"{len(candidates)} candidate submodule(s) among "
+             f"{len(closures)} basis vectors [{_BOX_NOTE}]"]
+    for cand in candidates:
         lines.append("  candidate: {" + ", ".join(str(b) for b in cand) + "}")
     return results, lines
 
@@ -286,6 +326,8 @@ def cmd_simplicity(session, args):
 def cmd_ghw(session, args):
     radius = session.resolve_radius(args.radius)
     module = session.module()
+    # the probe tries every generator of the box of twice the radius
+    _limit_checks(_box_size(session.config, 2 * radius))
     v = parse_element(session.config, args.vector, spec=module.spec)
     if not isinstance(v, ModuleVector):
         raise InputError("ghw expects a module vector")
@@ -309,6 +351,7 @@ def cmd_ghw(session, args):
 def cmd_quotient(session, args):
     radius = session.resolve_radius(args.radius)
     module = session.module()
+    _limit_checks(_box_size(session.config, radius) ** 2)
     box = BoxSpec(radius)
     seeds = []
     if args.seeds:
@@ -320,8 +363,10 @@ def cmd_quotient(session, args):
     rows = module.quotient_dims(sub, box)
     results = [{"check": "quotient_dims", "status": "info",
                 "submodule": sorted(str(b) for b in sub),
-                "table": [r.to_dict() for r in rows]}]
-    removed = sum(1 for r in rows if r.dim == 0)
+                "table": [{"weight": str(module.weight_of(v)), "parity": v.index.parity.value,
+                           "vector": str(v), "in_submodule": dim == 0, "dim": dim}
+                          for v, dim in rows]}]
+    removed = sum(1 for _, dim in rows if dim == 0)
     lines = [f"quotient (radius {radius}): submodule of size {len(sub)}, "
              f"{removed} weight line(s) removed, "
              f"{len(rows) - removed} remaining"]

@@ -94,18 +94,11 @@ class FormalSum:
             return "0"
         rendered = []
         for sym, coeff in self._sorted_terms():
-            num = coeff.num
-            plain = coeff.den == coeff.ctx._poly_one and len(num.terms) == 1
-            if coeff.is_one():
-                rendered.append(("+", str(sym)))
-            elif plain:
-                mag = type(coeff)(coeff.ctx, num if num.leading_coeff() > 0 else num.neg(),
-                                  coeff.den)
-                sign = "-" if num.leading_coeff() < 0 else "+"
-                if mag.is_one():
-                    rendered.append((sign, str(sym)))
-                else:
-                    rendered.append((sign, f"{mag}*{sym}"))
+            if coeff.den == coeff.ctx._poly_one and len(coeff.num.terms) == 1:
+                negative = coeff.num.leading_coeff() < 0
+                mag = -coeff if negative else coeff
+                rendered.append(("-" if negative else "+",
+                                 str(sym) if mag.is_one() else f"{mag}*{sym}"))
             else:
                 rendered.append(("+", f"({coeff})*{sym}"))
         return signed_sum(rendered)

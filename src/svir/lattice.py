@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import floor
+from math import floor, prod
 
 from .scalar import InputError, ScalarContext, ScalarExpr, as_fraction
 
@@ -140,11 +140,20 @@ class AlgebraConfig:
 
     # -- finite boxes ----------------------------------------------------------
 
+    def _ranges(self, radius, parity):
+        """Per coordinate, the twice-coordinates of one parity with |coordinate| <= radius."""
+        top = floor(2 * as_fraction(radius))
+        return [range(-top + (top + o) % 2, top + 1, 2) for o in self._offset(parity)]
+
     def box(self, radius, parity):
         """All vectors of one parity with every |coordinate| <= radius, in lex order."""
-        top = floor(2 * as_fraction(radius))
-        ranges = [range(-top + (top + o) % 2, top + 1, 2) for o in self._offset(parity)]
-        return tuple(IndexVector(t, parity) for t in itertools.product(*ranges))
+        return tuple(IndexVector(t, parity)
+                     for t in itertools.product(*self._ranges(radius, parity)))
+
+    def box_size(self, radius, parity) -> int:
+        """len(self.box(radius, parity)), without enumerating the box."""
+        # counted by hand: len() of a range stops at sys.maxsize
+        return prod(max(0, (r.stop - r.start + 1) // 2) for r in self._ranges(radius, parity))
 
 
 # ---------------------------------------------------------------------------
@@ -288,36 +297,22 @@ def nested_cone_basis(n, k) -> LatticeBasis:
     return LatticeBasis(tuple(rows))
 
 
-@dataclass(frozen=True)
-class ConeInclusionReport:
-    k: int
-    violations: tuple
-    ok: bool
+def cone_inclusion_check(k, bprime: LatticeBasis) -> tuple:
+    """Violations of the level-k cone inclusion: every nonzero nonnegative
+    integer combination of the rows of bprime has all reference coordinates
+    >= k.
 
-    def to_dict(self):
-        return {
-            "k": self.k,
-            "violations": [{"m_prime": list(m), "coords": [str(c) for c in coords]}
-                           for m, coords in self.violations],
-            "ok": self.ok,
-        }
-
-
-def cone_inclusion_check(k, bprime: LatticeBasis) -> ConeInclusionReport:
-    """Check that every nonzero nonnegative integer combination of the rows
-    of bprime has all reference coordinates >= k.
-
-    For k >= 0 that holds exactly when every basis entry is >= k: coordinate
+    For k >= 0 it holds exactly when every basis entry is >= k: coordinate
     j of the combination m is sum m_i * row_i[j] >= k * sum m_i >= k, and a
     row with an entry below k is itself a violating combination.  Each such
-    row is reported as its unit combination.
+    row is returned as a (unit combination, row) pair, so an empty tuple
+    means the inclusion holds.
     """
     if k < 0:
         raise InputError("cone level k must be nonnegative")
     n = bprime.n
-    violations = tuple((tuple(int(i == j) for j in range(n)), row)
-                       for i, row in enumerate(bprime.rows) if min(row) < k)
-    return ConeInclusionReport(k, violations, ok=not violations)
+    return tuple((tuple(int(i == j) for j in range(n)), row)
+                 for i, row in enumerate(bprime.rows) if min(row) < k)
 
 
 @dataclass(frozen=True)
@@ -329,15 +324,6 @@ class AdaptedBasis:
     case: str                 # "two_nonzero" or "some_zero"
     sign_flips: tuple         # +1/-1 per coordinate making mu nonnegative
     permutation: tuple        # slot i was filled from original coordinate permutation[i]
-
-    def to_dict(self):
-        return {
-            "basis": [list(r) for r in self.basis.rows],
-            "case": self.case,
-            "sign_flips": list(self.sign_flips),
-            "permutation": list(self.permutation),
-            "det": unimodular_det(self.basis),
-        }
 
 
 def adapted_cone_basis(mu: IndexVector) -> AdaptedBasis:

@@ -101,14 +101,6 @@ class ModuleSpec:
     def params(self):
         return {name: getattr(self, _FIELDS[name]) for name in self.family.param_names}
 
-    def to_dict(self):
-        """Report fields: the family, every parameter and the specialized ones."""
-        params = self.params()
-        return {"family": self.family.value,
-                "params": {k: str(v) for k, v in params.items()},
-                "specialized_params": sorted(k for k, v in params.items()
-                                             if v.is_constant())}
-
 
 @dataclass(frozen=True)
 class ModuleBasisVector:
@@ -353,9 +345,13 @@ class SeriesModule:
         seeds = self._mask(table, seeds, "seed {} lies outside the box")
         return frozenset(table.vectors(self._reach(table, seeds)))
 
-    def simplicity_probe(self, box: BoxSpec) -> "SimplicityReport":
+    def simplicity_probe(self, box: BoxSpec):
         """Closure of every in-box basis vector; proper closures are listed
-        as candidate submodules.  Box-level evidence, not a proof."""
+        as candidate submodules.  Box-level evidence, not a proof.
+
+        Returns ((seed, closure size) per in-box basis vector, candidates),
+        each candidate a sorted tuple and the candidates sorted by size.
+        """
         table = self._edge_table(box)
         full = (1 << len(table.basis)) - 1
         closures = []
@@ -368,7 +364,7 @@ class SeriesModule:
         candidates = [tuple(sorted(table.vectors(m), key=lambda b: b.sort_key()))
                       for m in proper]
         candidates.sort(key=lambda c: (len(c), [b.sort_key() for b in c]))
-        return SimplicityReport(tuple(closures), tuple(candidates), len(table.basis))
+        return tuple(closures), tuple(candidates)
 
     def ghw_probe(self, v, bprime: LatticeBasis, k: int, box: BoxSpec):
         """Probe the generalized-highest-weight condition inside the box.
@@ -403,20 +399,15 @@ class SeriesModule:
 
     def quotient_dims(self, sub, box: BoxSpec):
         """Weight-dimension table of the box quotient by a closure-invariant
-        set of basis vectors (quotienting deletes lines)."""
+        set of basis vectors: a (vector, dim) pair per in-box basis vector in
+        sort order, dim 0 in the set (quotienting deletes lines), else 1."""
         table = self._edge_table(box)
         sub = set(sub)
         mask = self._mask(table, sub, "{} is not an in-box basis vector")
         if self._reach(table, mask) != mask:
             raise InputError("the subset is not closure-invariant in the box")
-        rows = []
-        for v in sorted(table.basis, key=lambda b: b.sort_key()):
-            rows.append(WeightDim(weight=self.weight_of(v),
-                                  parity=v.index.parity,
-                                  vector=v,
-                                  in_submodule=v in sub,
-                                  dim=0 if v in sub else 1))
-        return rows
+        return [(v, 0 if v in sub else 1)
+                for v in sorted(table.basis, key=lambda b: b.sort_key())]
 
 
 class _EdgeTable:
@@ -437,40 +428,3 @@ class _EdgeTable:
 
     def vectors(self, mask):
         return [self.basis[j] for j in range(mask.bit_length()) if mask >> j & 1]
-
-
-@dataclass(frozen=True)
-class WeightDim:
-    weight: ScalarExpr
-    parity: Parity
-    vector: ModuleBasisVector
-    in_submodule: bool
-    dim: int
-
-    def to_dict(self):
-        return {
-            "weight": str(self.weight),
-            "parity": self.parity.value,
-            "vector": str(self.vector),
-            "in_submodule": self.in_submodule,
-            "dim": self.dim,
-        }
-
-
-@dataclass(frozen=True)
-class SimplicityReport:
-    closures: tuple
-    candidates: tuple
-    box_size: int
-
-    note = ("box-level evidence only: operators leaving the box are not "
-            "applied, so candidates are not proofs of submodules")
-
-    def to_dict(self):
-        return {
-            "box_size": self.box_size,
-            "closures": [{"seed": str(v), "closure_size": size}
-                         for v, size in self.closures],
-            "candidates": [[str(b) for b in cand] for cand in self.candidates],
-            "note": self.note,
-        }

@@ -411,38 +411,99 @@ def _iso(m, s="[0,0]", mprime="[[1,0],[0,1]]", alpha="1"):
 
 
 _BRACKET = ["bracket", "L[1,0]", "L[0,0]"]
+_NOT_JSON = "error: config session.json is not JSON: "
+_LONG_EXPONENT = "d1^" + "9" * 5000 + "*L[1,0]"
+
+
+def _too_many(checks):
+    return (f"error: this run needs {checks} checks, more than the limit of 1,000,000; "
+            "choose a smaller radius\n")
+
+
+# Each case: the config (a JSON value, raw text or None), the argv and the
+# expected stderr.  An expectation that ends in a newline is the whole line;
+# one that does not is the part svir writes, where the rest of the message
+# comes from the interpreter (the JSON decoder, the codec or the OS).
 _BAD_INPUTS = {
-    "bad-json": ("{not json", _BRACKET),
-    "not-utf8": ("\udcff", _BRACKET),
-    "json-nested-too-deeply": ("[" * 100_000 + "]" * 100_000, _BRACKET),
-    "missing-config": (None, ["--config", "missing.json", *_BRACKET]),
-    "duplicate-names": ({"d_names": ["d1", "d1"]}, _BRACKET),
-    "rank-1-cone-basis": ({"n": 1}, ["cone-basis", "--k", "1"]),
-    "unknown-family": (None, ["simplicity", "--family", "SC"]),
-    "rank-1-adapted-basis": ({"n": 1}, ["adapted-basis", "--mu", "[1]"]),
-    "box-radius-0": (None, ["simplicity", "--family", "SA", "--radius", "0"]),
-    "box-radius-half": (None, ["simplicity", "--family", "SA", "--radius", "1/2"]),
-    "ghw-negative-k": (None, ["ghw", "--family", "SA", "--vector", "x[0,0]", "--k", "-1"]),
-    "ghw-zero-vector": (None, ["ghw", "--family", "SA", "--vector", "0"]),
+    "bad-json": ("{not json", _BRACKET, _NOT_JSON),
+    "not-utf8": ("\udcff", _BRACKET, _NOT_JSON),
+    "json-nested-too-deeply": ("[" * 100_000 + "]" * 100_000, _BRACKET, _NOT_JSON),
+    "missing-config": (None, ["--config", "missing.json", *_BRACKET],
+                       "error: [Errno 2] No such file or directory"),
+    "duplicate-names": ({"d_names": ["d1", "d1"]}, _BRACKET,
+                        "error: bad configuration: indeterminate names must be unique\n"),
+    "rank-1-cone-basis": ({"n": 1}, ["cone-basis", "--k", "1"],
+                          "error: rank must be at least 2\n"),
+    "unknown-family": (None, ["simplicity", "--family", "SC"],
+                       "error: unknown family 'SC'; choose from ['SA', 'SAprime', 'SBprime']\n"),
+    "rank-1-adapted-basis": ({"n": 1}, ["adapted-basis", "--mu", "[1]"],
+                             "error: rank must be at least 2\n"),
+    "box-radius-0": (None, ["simplicity", "--family", "SA", "--radius", "0"],
+                     "error: the box radius must be at least 1\n"),
+    "box-radius-half": (None, ["simplicity", "--family", "SA", "--radius", "1/2"],
+                        "error: the box radius must be at least 1\n"),
+    "ghw-negative-k": (None, ["ghw", "--family", "SA", "--vector", "x[0,0]", "--k", "-1"],
+                       "error: k must be nonnegative\n"),
+    "ghw-zero-vector": (None, ["ghw", "--family", "SA", "--vector", "0"],
+                        "error: the probe needs a nonzero vector\n"),
     "ghw-vector-outside-box": (None, ["ghw", "--family", "SA", "--vector", "x[5,0]",
-                                      "--radius", "1"]),
+                                      "--radius", "1"],
+                               "error: the vector must lie inside the box\n"),
     "ghw-non-unimodular": (None, ["ghw", "--family", "SA", "--vector", "x[0,0]",
-                                  "--basis", "[[2,0],[0,1]]"]),
+                                  "--basis", "[[2,0],[0,1]]"],
+                           "error: the cone basis must be unimodular\n"),
     "ghw-non-square": (None, ["ghw", "--family", "SA", "--vector", "x[0,0]",
-                              "--basis", "[[1,0],[0]]"]),
+                              "--basis", "[[1,0],[0]]"],
+                       "error: basis matrix must be square\n"),
     "quotient-seed-outside-box": (None, ["quotient", "--family", "SBprime",
-                                         "--seeds", "y[5,0]", "--radius", "1"]),
-    "iso-dependent-rows": (None, _iso("[[1,0],[2,0]]")),
-    "iso-ragged-rows": (None, _iso("[[1,0],[1]]")),
-    "iso-alpha-0": (None, _iso("[[1]]", s="[0]", mprime="[[1]]", alpha="0")),
-    "exponent-literal-5000-digits": (None, ["bracket", "d1^" + "9" * 5000 + "*L[1,0]",
-                                            "L[0,0]"]),
+                                         "--seeds", "y[5,0]", "--radius", "1"],
+                                  "error: seed y[5,0] lies outside the box\n"),
+    "iso-dependent-rows": (None, _iso("[[1,0],[2,0]]"),
+                           "error: basis rows must be linearly independent\n"),
+    "iso-ragged-rows": (None, _iso("[[1,0],[1]]"),
+                        "error: all vectors must share one ambient dimension\n"),
+    "iso-alpha-0": (None, _iso("[[1]]", s="[0]", mprime="[[1]]", alpha="0"),
+                    "error: alpha must be nonzero\n"),
+    "exponent-literal-5000-digits": (
+        None, ["bracket", _LONG_EXPONENT, "L[0,0]"],
+        f"error: integer literal has too many digits (at position 3 in '{_LONG_EXPONENT}')\n"),
+    # runs refused by their check count, before anything is enumerated
+    "jacobi-fuzz-radius-4": (None, ["jacobi-fuzz", "--radius", "4"], _too_many("3,652,264")),
+    "jacobi-fuzz-radius-5": (None, ["jacobi-fuzz", "--radius", "5"], _too_many("12,487,168")),
+    "antisym-radius-11": (None, ["antisym", "--radius", "11"], _too_many("1,073,296")),
+    "rep-fuzz-radius-6": (None, ["rep-fuzz", "--family", "SA", "--radius", "6"],
+                          _too_many("1,594,140")),
+    "rep-fuzz-vector-radius-100": (None, ["rep-fuzz", "--family", "SA", "--radius", "1",
+                                          "--vector-radius", "100"],
+                                   _too_many("20,633,856")),
+    "simplicity-radius-100": (None, ["simplicity", "--family", "SA", "--radius", "100"],
+                              _too_many("6,496,521,201")),
+    # (2r + 1)(4r + 1) basis vectors in a box of radius r, so no len() overflow
+    "simplicity-radius-10^21": (
+        None, ["simplicity", "--family", "SBprime", "--radius", str(10**21)],
+        _too_many(f"{((2 * 10**21 + 1) * (4 * 10**21 + 1)) ** 2:,}")),
+    "quotient-radius-20": (None, ["quotient", "--family", "SBprime", "--radius", "20"],
+                           _too_many("11,029,041")),
+    "ghw-radius-200": (None, ["ghw", "--family", "SA", "--vector", "x[0,0]",
+                              "--radius", "200"], _too_many("1,282,401")),
 }
 
 
-@pytest.mark.parametrize("config, argv", list(_BAD_INPUTS.values()), ids=list(_BAD_INPUTS))
-def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, config, argv):
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("a bad input reached the checks")
+
+
+@pytest.mark.parametrize("config, argv, expected", list(_BAD_INPUTS.values()),
+                         ids=list(_BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, config, argv,
+                                               expected):
     monkeypatch.chdir(tmp_path)
+    for target in ("svir.algebra.SuperVirasoro.super_jacobi_residual",
+                   "svir.algebra.SuperVirasoro.bracket_basis",
+                   "svir.repmod.SeriesModule.rep_residual",
+                   "svir.repmod.SeriesModule.act",
+                   "svir.repmod.SeriesModule._reach"):
+        monkeypatch.setattr(target, _refuse_to_run)
     if config is not None:
         text = config if isinstance(config, str) else json.dumps(config)
         (tmp_path / "session.json").write_text(text, errors="surrogateescape")
@@ -451,7 +512,18 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, co
     assert code == 2 and report is None
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(expected) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("radius, verdict", [("3", 3), ("4", 2)])
+def test_run_size_limit_admits_jacobi_radius_3(tmp_path, capsys, monkeypatch, radius, verdict):
+    # radius 3 (778,688 triples) reaches the residual, which raises here;
+    # radius 4 (3,652,264) is refused first
+    monkeypatch.setattr("svir.algebra.SuperVirasoro.super_jacobi_residual", _refuse_to_run)
+    code, report = run(tmp_path, "jacobi-fuzz", "--radius", radius)
+    assert code == verdict and report is None
+    err = capsys.readouterr().err
+    assert ("reached the checks" in err) == (verdict == 3)
 
 
 @pytest.mark.parametrize("argv, verdict", [

@@ -45,6 +45,12 @@ GOLDEN = {
     "adapted-basis": (
         ("adapted-basis", "--mu", "[1,2]"),
         "070a2f47b5d42661145eceab7d0d456e4e4c9100c9a67a02b78dd7a83e2951ad"),
+    "adapted-basis-some-zero": (
+        ("adapted-basis", "--mu", "[0,3]"),
+        "ee86b682f87ae9df8c25cb3c87834656c0d5f93027eb2172df852d52f0c60f0a"),
+    "adapted-basis-sign-flips": (
+        ("adapted-basis", "--mu", "[-2,1]"),
+        "a30285261d7fae84c67ecd7e1246f95761ff3f5506c86f5b067618fb2a14d7a6"),
     "ladder": (
         ("ladder", "--m", "4"),
         "74eb5373efef37d29b468a255ed1176be371a1156be8ea7d132e1c0fc132d795"),
@@ -92,6 +98,28 @@ RATIONAL_GOLDEN = {
 }
 
 
+# Reports under a non-default session: rank 3, and specialized family
+# parameters, which the report lists under ``specialized_params``.
+CONFIGURED_GOLDEN = {
+    "adapted-basis-n3": (
+        {"n": 3},
+        ("adapted-basis", "--mu", "[1,2,3]"),
+        "a0d8a6a72748f05d80f891ab57179defba99633886f2acec31b31d1809a620e1"),
+    "simplicity-SA-specialized": (
+        {"params": {"a": "0", "b": "1/2"}},
+        ("simplicity", "--family", "SA", "--radius", "1"),
+        "055634967bb21cb4e7f90ecefacb1e9328f7cc880138ab73e65dfb450ec3f22c"),
+    "rep-fuzz-SAprime-specialized": (
+        {"params": {"a'": "1/2"}},
+        ("rep-fuzz", "--family", "SAprime", "--radius", "1/2"),
+        "559f46c84727bf333e736b66ad9dedd8337ebe8337ed04a7dff95ef08127cef8"),
+    "quotient-SAprime-specialized": (
+        {"params": {"a'": "0"}},
+        ("quotient", "--family", "SAprime", "--seeds", "x[0,0]", "--radius", "3/2"),
+        "b85ba6bcaf3a46cc604f54dd07ed40afbbf8bb310838ce2296836c0484fb7bd6"),
+}
+
+
 def report_digest(tmp_path, argv, config=None):
     out = tmp_path / "report.json"
     if config is not None:
@@ -111,4 +139,10 @@ def test_report_bytes_are_pinned(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(RATIONAL_GOLDEN))
 def test_rational_report_bytes_are_pinned(tmp_path, name):
     config, argv, digest = RATIONAL_GOLDEN[name]
+    assert report_digest(tmp_path, argv, config) == digest
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGURED_GOLDEN))
+def test_configured_report_bytes_are_pinned(tmp_path, name):
+    config, argv, digest = CONFIGURED_GOLDEN[name]
     assert report_digest(tmp_path, argv, config) == digest

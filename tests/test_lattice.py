@@ -27,6 +27,15 @@ def test_embed_is_injective_on_a_box(cfg):
     assert len(embeds) == len(vectors)
 
 
+@pytest.mark.parametrize("sigma", [(0,), (HALF, 0), (HALF, HALF, 0)])
+def test_box_size_counts_the_box(sigma):
+    n = len(sigma)
+    cfg = AlgebraConfig(n, [f"d{i + 1}" for i in range(n)], sigma)
+    for radius in (0, HALF, 1, Fraction(3, 2), 2, Fraction(5, 2), -1):
+        for parity in Parity:
+            assert cfg.box_size(radius, parity) == len(cfg.box(radius, parity))
+
+
 def test_parity_validation(cfg):
     with pytest.raises(InputError, match="are not in the even class"):
         cfg.even((HALF, 0))
@@ -79,9 +88,7 @@ def test_cone_inclusion_frozen_coordinates():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("k", range(5))
 def test_cone_inclusion_exhaustive(n, k):
-    report = cone_inclusion_check(k, nested_cone_basis(n, k))
-    assert report.ok
-    assert not report.violations
+    assert cone_inclusion_check(k, nested_cone_basis(n, k)) == ()
 
 
 def _bounded_violations(k, rows, bound):
@@ -103,20 +110,17 @@ def _bounded_violations(k, rows, bound):
        st.integers(0, 4))
 @settings(max_examples=80, deadline=None)
 def test_cone_inclusion_matches_bounded_enumeration(rows, k):
-    report = cone_inclusion_check(k, LatticeBasis(tuple(map(tuple, rows))))
+    violations = cone_inclusion_check(k, LatticeBasis(tuple(map(tuple, rows))))
     bounded = _bounded_violations(k, rows, 4)
-    assert report.ok == (not bounded)
-    assert set(report.violations) <= set(bounded)
-    assert {m for m, _ in report.violations} == {
+    assert (not violations) == (not bounded)
+    assert set(violations) <= set(bounded)
+    assert {m for m, _ in violations} == {
         m for m, _ in bounded if sum(m) == 1}
 
 
 def test_cone_inclusion_reports_rows_as_unit_combinations():
-    report = cone_inclusion_check(2, LatticeBasis(((3, 2), (1, 4))))
-    assert not report.ok
-    assert report.violations == (((0, 1), (1, 4)),)
-    assert report.to_dict() == {"k": 2, "ok": False, "violations": [
-        {"m_prime": [0, 1], "coords": ["1", "4"]}]}
+    violations = cone_inclusion_check(2, LatticeBasis(((3, 2), (1, 4))))
+    assert violations == (((0, 1), (1, 4)),)
     with pytest.raises(InputError, match="nonnegative"):
         cone_inclusion_check(-1, LatticeBasis.identity(2))
 

@@ -155,10 +155,10 @@ def test_closure_rejects_out_of_box_seed(cfg, sa):
 
 
 def test_simplicity_probe(cfg, sa, sb_prime):
-    report = sb_prime.simplicity_probe(BoxSpec(2))
-    assert len(report.candidates) == 1
-    assert [str(b) for b in report.candidates[0]] == ["y[0,0]"]
-    assert sa.simplicity_probe(BoxSpec(1)).candidates == ()
+    _, candidates = sb_prime.simplicity_probe(BoxSpec(2))
+    assert len(candidates) == 1
+    assert [str(b) for b in candidates[0]] == ["y[0,0]"]
+    assert sa.simplicity_probe(BoxSpec(1))[1] == ()
 
 
 def test_simplicity_probe_specialized_parameters():
@@ -166,8 +166,8 @@ def test_simplicity_probe_specialized_parameters():
     becomes invariant because both acting coefficients vanish."""
     cfg0 = AlgebraConfig(2, ("d1", "d2"), (0, 0), extra_names=("a", "b"))
     module = SeriesModule(cfg0, ModuleSpec.sa(cfg0.scalar(0), cfg0.scalar(HALF)))
-    report = module.simplicity_probe(BoxSpec(1))
-    assert [[str(b) for b in cand] for cand in report.candidates] == [["y[0,0]"]]
+    _, candidates = module.simplicity_probe(BoxSpec(1))
+    assert [[str(b) for b in cand] for cand in candidates] == [["y[0,0]"]]
 
 
 # -- box closures against the direct worklist ----------------------------------
@@ -224,7 +224,7 @@ def test_closure_matches_the_direct_worklist(name, box, data):
     assert module.closure(seeds, box) == expected
     if expected == frozenset(seeds):
         rows = module.quotient_dims(set(seeds), box)
-        assert [r.vector for r in rows if r.dim == 0] == sorted(
+        assert [v for v, dim in rows if dim == 0] == sorted(
             expected, key=lambda b: b.sort_key())
     else:
         with pytest.raises(InputError, match="not closure-invariant"):
@@ -240,10 +240,10 @@ def test_simplicity_probe_matches_the_direct_worklist(name, box):
     candidates = sorted({tuple(sorted(cl, key=lambda b: b.sort_key()))
                          for cl in closures if len(cl) < len(basis)},
                         key=lambda c: (len(c), [b.sort_key() for b in c]))
-    report = module.simplicity_probe(box)
-    assert report.box_size == len(basis)
-    assert report.closures == tuple((v, len(cl)) for v, cl in zip(basis, closures))
-    assert report.candidates == tuple(candidates)
+    got_closures, got_candidates = module.simplicity_probe(box)
+    assert len(got_closures) == len(basis)
+    assert got_closures == tuple((v, len(cl)) for v, cl in zip(basis, closures))
+    assert got_candidates == tuple(candidates)
 
 
 def test_ghw_probe(cfg, sa, sb_prime):
@@ -275,17 +275,18 @@ def test_quotient_dims(cfg, sb_prime):
     box = BoxSpec(2)
     y0 = sb_prime.y((0, 0))
     rows = sb_prime.quotient_dims({y0}, box)
-    zero_even = [r for r in rows if r.parity is Parity.EVEN and r.weight.is_zero()]
-    assert len(zero_even) == 1 and zero_even[0].dim == 0
-    others = [r for r in rows if r.vector != y0]
-    assert all(r.dim == 1 for r in others)
+    zero_even = [(v, dim) for v, dim in rows
+                 if v.index.parity is Parity.EVEN and sb_prime.weight_of(v).is_zero()]
+    assert len(zero_even) == 1 and zero_even[0][1] == 0
+    others = [dim for v, dim in rows if v != y0]
+    assert all(dim == 1 for dim in others)
     assert len(rows) == len(sb_prime.basis_in_box(box))
 
     everything = sb_prime.quotient_dims(set(sb_prime.basis_in_box(box)), box)
-    assert all(r.dim == 0 for r in everything)
+    assert all(dim == 0 for _, dim in everything)
 
     untouched = sb_prime.quotient_dims(set(), box)
-    assert all(r.dim <= 1 for r in untouched)
+    assert all(dim <= 1 for _, dim in untouched)
 
 
 def test_quotient_requires_invariant_subset(cfg, sa):
