@@ -11,8 +11,7 @@ from .lattice import (AlgebraConfig, ConeSpec, IndexVector, LatticeBasis, Parity
                       adapted_cone_basis, change_of_coords, cone_inclusion_check,
                       cone_member, iso_check, nested_cone_basis, unimodular_det)
 from .algebra import AlgebraElement, BasisElt, CENTRAL, Kind, SuperVirasoro
-from .repmod import (BoxSpec, Family, ModuleBasisVector, ModuleSpec, ModuleVector,
-                     SeriesModule)
+from .repmod import BoxSpec, Family, ModuleBasisVector, ModuleVector, SeriesModule
 from .parse import ParseError, parse_element, parse_index, parse_scalar
 
 __version__ = "0.1.0"
@@ -20,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraConfig", "AlgebraElement", "BasisElt", "BoxSpec", "CENTRAL",
     "ConeSpec", "Family", "IndexVector", "InputError", "Kind", "LatticeBasis",
-    "ModuleBasisVector", "ModuleSpec", "ModuleVector", "Parity", "ParseError",
+    "ModuleBasisVector", "ModuleVector", "Parity", "ParseError",
     "PolyExact", "ScalarContext", "ScalarDivisionError", "ScalarExpr",
     "SeriesModule", "SuperVirasoro", "adapted_cone_basis", "change_of_coords",
     "cone_inclusion_check", "cone_member", "iso_check", "nested_cone_basis",

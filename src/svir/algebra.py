@@ -242,31 +242,16 @@ class SuperVirasoro:
         """
         cfg = self.config
         adapted = adapted_cone_basis(mu)
-        n = cfg.n
-        flips = adapted.sign_flips
-        d_t = [cfg.unit(i).scale(flips[i]) for i in range(n)]
-        mt = [abs(t) // 2 for t in mu.twice]
         e_mu = cfg.embed(mu)
-
-        chains = []
-        if adapted.case == "two_nonzero":
-            chains.append((0, mu + d_t[0], mt[1] - 1, cfg.embed(d_t[0])))
-            chains.append((1, mu - d_t[1], mt[0] - 1, -cfg.embed(d_t[1])))
-            for i in range(2, n):
-                chains.append((i, mu + d_t[0] + d_t[i], mt[1] - 1,
-                               cfg.embed(d_t[0]) + cfg.embed(d_t[i])))
-        else:
-            for i in range(n):
-                chains.append((i, adapted.basis.row_vector(i), 0, cfg.ctx.zero))
-
         l_mu = BasisElt(Kind.L, mu)
         entries = []
-        for row, start, copies, offset in chains:
+        for row, (step, copies) in enumerate(adapted.chains):
+            start = mu + step
+            e_step = cfg.embed(step)
             product, bracket_ok = self._scaled_power_check(
                 l_mu, BasisElt(Kind.L, start), BasisElt(Kind.L, adapted.basis.row_vector(row)),
-                [e_mu * t + offset for t in range(copies)],
+                [e_mu * t + e_step for t in range(copies)],
                 "a witness product factor vanished")
-            step = start - mu
             in_a = all(abs(t) <= 2 for t in step.twice)
             entries.append(WitnessEntry(row, start, copies, product, step, in_a, bracket_ok))
         ok = all(e.step_in_neighborhood and e.bracket_ok for e in entries)

@@ -23,7 +23,7 @@ from .lattice import (AlgebraConfig, LatticeBasis, Parity, cone_inclusion_check,
                       iso_check, nested_cone_basis, unimodular_det)
 from .parse import (parse_element, parse_index, parse_rational,
                     parse_rational_matrix, parse_rational_vector, parse_scalar)
-from .repmod import BoxSpec, Family, ModuleSpec, ModuleVector, SeriesModule
+from .repmod import BoxSpec, Family, ModuleVector, SeriesModule
 from .scalar import InputError
 
 SCHEMA_VERSION = 1
@@ -85,7 +85,7 @@ class Session:
                              "(--family or the config file)")
         values = {name: parse_scalar(self.config.ctx, str(self.params.get(name, name)))
                   for name in family.param_names}
-        return SeriesModule(self.config, ModuleSpec.of(family, values))
+        return SeriesModule(self.config, family, values)
 
     def resolve_radius(self, text):
         """The command's radius, else the config's: a nonnegative multiple of 1/2."""
@@ -126,10 +126,10 @@ def _limit_checks(checks):
                          f"of {MAX_CHECKS:,}; choose a smaller radius")
 
 
-def _family_fields(spec):
+def _family_fields(module):
     """Report fields of a module: its family, parameters and specialized ones."""
-    params = spec.params()
-    return {"family": spec.family.value,
+    params = module.params
+    return {"family": module.family.value,
             "params": {k: str(v) for k, v in params.items()},
             "specialized_params": sorted(k for k, v in params.items() if v.is_constant())}
 
@@ -152,8 +152,8 @@ def cmd_bracket(session, args):
 
 def cmd_act(session, args):
     module = session.module()
-    g = parse_element(session.config, args.element, spec=module.spec)
-    v = parse_element(session.config, args.vector, spec=module.spec)
+    g = parse_element(session.config, args.element, module.family)
+    v = parse_element(session.config, args.vector, module.family)
     if not isinstance(g, AlgebraElement) or not isinstance(v, ModuleVector):
         raise InputError("act expects an algebra element and a module vector")
     out = module.act(g, v)
@@ -226,9 +226,9 @@ def cmd_rep_fuzz(session, args):
                                  "residual": str(residual)})
     checked = len(elems) ** 2 * len(vectors)
     status = "fail" if failures else "pass"
-    results = [{"check": "rep_axiom", "status": status, **_family_fields(module.spec),
+    results = [{"check": "rep_axiom", "status": status, **_family_fields(module),
                 "triples": checked, "failures": failures}]
-    lines = [f"rep-fuzz {module.spec.family.value}: {checked} triples "
+    lines = [f"rep-fuzz {module.family.value}: {checked} triples "
              f"(generators radius {radius}, vectors radius {vradius}): "
              f"{len(failures)} nonzero residuals"]
     for f in failures[:5]:
@@ -311,11 +311,11 @@ def cmd_simplicity(session, args):
     _limit_checks(_box_size(session.config, radius) ** 2)
     closures, candidates = module.simplicity_probe(BoxSpec(radius))
     results = [{"check": "simplicity_probe", "status": "info",
-                **_family_fields(module.spec), "box_size": len(closures),
+                **_family_fields(module), "box_size": len(closures),
                 "closures": [{"seed": str(v), "closure_size": size} for v, size in closures],
                 "candidates": [[str(b) for b in cand] for cand in candidates],
                 "note": _BOX_NOTE}]
-    lines = [f"simplicity {module.spec.family.value} (radius {radius}): "
+    lines = [f"simplicity {module.family.value} (radius {radius}): "
              f"{len(candidates)} candidate submodule(s) among "
              f"{len(closures)} basis vectors [{_BOX_NOTE}]"]
     for cand in candidates:
@@ -328,7 +328,7 @@ def cmd_ghw(session, args):
     module = session.module()
     # the probe tries every generator of the box of twice the radius
     _limit_checks(_box_size(session.config, 2 * radius))
-    v = parse_element(session.config, args.vector, spec=module.spec)
+    v = parse_element(session.config, args.vector, module.family)
     if not isinstance(v, ModuleVector):
         raise InputError("ghw expects a module vector")
     n = session.config.n
@@ -353,13 +353,10 @@ def cmd_quotient(session, args):
     module = session.module()
     _limit_checks(_box_size(session.config, radius) ** 2)
     box = BoxSpec(radius)
-    seeds = []
-    if args.seeds:
-        parsed = parse_element(session.config, args.seeds, spec=module.spec)
-        if not isinstance(parsed, ModuleVector):
-            raise InputError("quotient seeds must be module basis vectors")
-        seeds = list(parsed.terms)
-    sub = module.closure(seeds, box) if seeds else frozenset()
+    seeds = parse_element(session.config, args.seeds or "0", module.family)
+    if not isinstance(seeds, ModuleVector):
+        raise InputError("quotient seeds must be module basis vectors")
+    sub = module.closure(seeds.terms, box)
     rows = module.quotient_dims(sub, box)
     results = [{"check": "quotient_dims", "status": "info",
                 "submodule": sorted(str(b) for b in sub),
@@ -474,11 +471,13 @@ def main(argv=None) -> int:
     try:
         raw = {}
         if getattr(args, "config", None):
-            with open(args.config) as fh:
-                try:
+            try:
+                with open(args.config) as fh:
                     raw = json.load(fh)
-                except (ValueError, RecursionError) as exc:
-                    raise InputError(f"config {args.config} is not JSON: {exc}") from None
+            except OSError as exc:
+                raise InputError(f"cannot read config {args.config}: {exc.strerror}") from None
+            except (ValueError, RecursionError) as exc:
+                raise InputError(f"config {args.config} is not JSON: {exc}") from None
         session = Session(raw, getattr(args, "family", None))
         output = getattr(args, "output", None) or session.output or "report.json"
         directory = os.path.dirname(os.path.abspath(output))

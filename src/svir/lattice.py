@@ -111,10 +111,6 @@ class AlgebraConfig:
     def odd(self, coords) -> IndexVector:
         return self.index(coords, Parity.ODD)
 
-    @property
-    def zero_index(self) -> IndexVector:
-        return IndexVector((0,) * self.n, Parity.EVEN)
-
     def unit(self, i) -> IndexVector:
         return IndexVector(tuple(2 if j == i else 0 for j in range(self.n)),
                            Parity.EVEN)
@@ -324,6 +320,7 @@ class AdaptedBasis:
     case: str                 # "two_nonzero" or "some_zero"
     sign_flips: tuple         # +1/-1 per coordinate making mu nonnegative
     permutation: tuple        # slot i was filled from original coordinate permutation[i]
+    chains: tuple             # (step, copies) per row: row = (copies + 1)*mu + step
 
 
 def adapted_cone_basis(mu: IndexVector) -> AdaptedBasis:
@@ -333,7 +330,8 @@ def adapted_cone_basis(mu: IndexVector) -> AdaptedBasis:
     m2*mu + d1, m1*mu - d2 and (row1 + d_i) when m1 and m2 are both nonzero;
     otherwise a zero coordinate is permuted to the front and the rows are
     mu + d1 and (row1 + d_i).  |det| = 1 in both cases; mu = 0 falls into
-    the second case.
+    the second case.  Each row is recorded as a step, an even index with
+    coordinates in {-1, 0, 1}, plus copies + 1 multiples of mu.
     """
     if mu.parity is not Parity.EVEN:
         raise InputError("the adapted basis is built from an even vector")
@@ -350,27 +348,22 @@ def adapted_cone_basis(mu: IndexVector) -> AdaptedBasis:
     def vadd(*vecs):
         return tuple(sum(parts) for parts in zip(*vecs))
 
-    def vscale(vec, c):
-        return tuple(c * x for x in vec)
-
-    mu_row = tuple(m)
     if mt[0] != 0 and mt[1] != 0:
         case = "two_nonzero"
         perm = tuple(range(n))
-        row1 = vadd(vscale(mu_row, mt[1]), unit(0, flips[0]))
-        row2 = vadd(vscale(mu_row, mt[0]), unit(1, -flips[1]))
-        rows = [row1, row2]
-        for i in range(2, n):
-            rows.append(vadd(row1, unit(i, flips[i])))
+        d1 = unit(0, flips[0])
+        chains = [(d1, mt[1] - 1), (unit(1, -flips[1]), mt[0] - 1)]
+        chains += [(vadd(d1, unit(i, flips[i])), mt[1] - 1) for i in range(2, n)]
     else:
         case = "some_zero"
         z = mt.index(0)
         perm = (z,) + tuple(i for i in range(n) if i != z)
-        row1 = vadd(mu_row, unit(z, flips[z]))
-        rows = [row1]
-        for i in perm[1:]:
-            rows.append(vadd(row1, unit(i, flips[i])))
-    return AdaptedBasis(LatticeBasis(tuple(rows)), case, flips, perm)
+        d1 = unit(z, flips[z])
+        chains = [(d1, 0)] + [(vadd(d1, unit(i, flips[i])), 0) for i in perm[1:]]
+    rows = tuple(vadd([c * (copies + 1) for c in m], step) for step, copies in chains)
+    chains = tuple((IndexVector(tuple(2 * c for c in step), Parity.EVEN), copies)
+                   for step, copies in chains)
+    return AdaptedBasis(LatticeBasis(rows), case, flips, perm, chains)
 
 
 # ---------------------------------------------------------------------------

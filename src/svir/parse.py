@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, BasisElt, CENTRAL, Kind
 from .lattice import AlgebraConfig, Parity
-from .repmod import ModuleBasisVector, ModuleSpec, ModuleVector
+from .repmod import Family, ModuleBasisVector, ModuleVector
 from .scalar import InputError, ScalarContext, ScalarExpr
 
 
@@ -83,11 +83,11 @@ class _Parser:
     it combines.
     """
 
-    def __init__(self, ctx: ScalarContext, text: str, config=None, spec=None):
+    def __init__(self, ctx: ScalarContext, text: str, config=None, family=None):
         self.ctx = ctx
         self.text = text
         self.config = config
-        self.spec = spec
+        self.family = family
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -227,10 +227,10 @@ class _Parser:
         symbol, body = value
         if symbol in "LG":
             parity = Parity.EVEN if symbol == "L" else Parity.ODD
-        elif self.spec is None:
+        elif self.family is None:
             raise self.error("module symbols need a module family", pos)
         else:
-            parity = self.spec.x_parity if symbol == "x" else self.spec.y_parity
+            parity = self.family.parity(symbol)
         try:
             index = self.config.index([parse_rational(p) for p in body.split(",")], parity)
         except InputError as exc:
@@ -244,16 +244,16 @@ def parse_scalar(ctx: ScalarContext, text: str) -> ScalarExpr:
     return _Parser(ctx, text).parse()
 
 
-def parse_element(config: AlgebraConfig, text: str, spec: ModuleSpec = None):
+def parse_element(config: AlgebraConfig, text: str, family: Family = None):
     """Parse an algebra element or (when x/y occur) a module vector.
 
-    Module symbols need a ModuleSpec to fix their index parities; mixing
+    Module symbols need a Family to fix their index parities; mixing
     algebra and module symbols in one expression is an error.  The bare
-    literal "0" is the zero element (a module vector when a spec is given).
+    literal "0" is the zero element (a module vector when a family is given).
     """
     if text.strip() == "0":
-        return ModuleVector({}) if spec is not None else AlgebraElement({})
-    parser = _Parser(config.ctx, text, config, spec)
+        return ModuleVector({}) if family is not None else AlgebraElement({})
+    parser = _Parser(config.ctx, text, config, family)
     value = parser.parse()
     if isinstance(value, ScalarExpr):
         raise ParseError("expected an element: L[...], G[...], x[...], y[...] or c",

@@ -52,54 +52,9 @@ class Family(Enum):
         """The family's parameter names, in declaration order."""
         return ("a", "b") if self is Family.SA else ("a'",)
 
-
-# the ModuleSpec field that holds each family parameter
-_FIELDS = {"a": "a", "b": "b", "a'": "aprime"}
-
-
-@dataclass(frozen=True)
-class ModuleSpec:
-    """Family tag plus its parameters as exact scalars."""
-
-    family: Family
-    a: ScalarExpr | None = None
-    b: ScalarExpr | None = None
-    aprime: ScalarExpr | None = None
-
-    def __post_init__(self):
-        given = tuple(name for name, field in _FIELDS.items()
-                      if getattr(self, field) is not None)
-        if given != self.family.param_names:
-            raise InputError(f"{self.family.value} takes the parameters "
-                             f"{', '.join(self.family.param_names)}")
-
-    @classmethod
-    def sa(cls, a, b):
-        return cls(Family.SA, a=a, b=b)
-
-    @classmethod
-    def sa_prime(cls, aprime):
-        return cls(Family.SAPRIME, aprime=aprime)
-
-    @classmethod
-    def sb_prime(cls, aprime):
-        return cls(Family.SBPRIME, aprime=aprime)
-
-    @classmethod
-    def of(cls, family, values):
-        """Spec of ``family`` from a mapping of each parameter name to its value."""
-        return cls(family, **{_FIELDS[name]: values[name] for name in family.param_names})
-
-    @property
-    def x_parity(self) -> Parity:
-        return Parity.ODD if self.family is Family.SBPRIME else Parity.EVEN
-
-    @property
-    def y_parity(self) -> Parity:
-        return Parity.EVEN if self.family is Family.SBPRIME else Parity.ODD
-
-    def params(self):
-        return {name: getattr(self, _FIELDS[name]) for name in self.family.param_names}
+    def parity(self, kind) -> Parity:
+        """Parity class of the indices of basis symbol ``kind``, "x" or "y"."""
+        return Parity.EVEN if (kind == "x") != (self is Family.SBPRIME) else Parity.ODD
 
 
 @dataclass(frozen=True)
@@ -143,11 +98,16 @@ class BoxSpec:
 
 
 class SeriesModule:
-    """One intermediate-series module bound to a configuration."""
+    """One intermediate-series module bound to a configuration: a family and
+    an exact scalar for each of its parameter names."""
 
-    def __init__(self, config: AlgebraConfig, spec: ModuleSpec):
+    def __init__(self, config: AlgebraConfig, family: Family, params):
+        if set(params) != set(family.param_names):
+            raise InputError(f"{family.value} takes the parameters "
+                             f"{', '.join(family.param_names)}")
         self.config = config
-        self.spec = spec
+        self.family = family
+        self.params = {name: params[name] for name in family.param_names}
         self.algebra = SuperVirasoro(config)
         self._act_cache = {}
         self._edge_cache = {}
@@ -155,16 +115,15 @@ class SeriesModule:
     # -- basis vectors ---------------------------------------------------------
 
     def x(self, coords) -> ModuleBasisVector:
-        return ModuleBasisVector("x", self.config.index(coords, self.spec.x_parity))
+        return ModuleBasisVector("x", self.config.index(coords, self.family.parity("x")))
 
     def y(self, coords) -> ModuleBasisVector:
-        return ModuleBasisVector("y", self.config.index(coords, self.spec.y_parity))
+        return ModuleBasisVector("y", self.config.index(coords, self.family.parity("y")))
 
     def _check_vector(self, v: ModuleBasisVector):
-        want = self.spec.x_parity if v.kind == "x" else self.spec.y_parity
+        want = self.family.parity(v.kind)
         if v.index.parity is not want:
-            raise InputError(
-                f"{v.kind} carries {want.value} indices in {self.spec.family.value}")
+            raise InputError(f"{v.kind} carries {want.value} indices in {self.family.value}")
 
     def vector(self, v) -> ModuleVector:
         if isinstance(v, ModuleVector):
@@ -176,9 +135,8 @@ class SeriesModule:
 
     def basis_in_box(self, box: BoxSpec):
         """All basis vectors with index inside the box, x's first, lex order."""
-        return tuple(ModuleBasisVector(kind, i)
-                     for kind, parity in (("x", self.spec.x_parity), ("y", self.spec.y_parity))
-                     for i in self.config.box(box.radius, parity))
+        return tuple(ModuleBasisVector(kind, i) for kind in ("x", "y")
+                     for i in self.config.box(box.radius, self.family.parity(kind)))
 
     # -- the action -------------------------------------------------------------
 
@@ -202,9 +160,9 @@ class SeriesModule:
         target = gi + vi
         # L keeps the symbol, G swaps x and y, in every family
         out_kind = v.kind if g.kind is Kind.L else ("y" if v.kind == "x" else "x")
-        fam = self.spec.family
+        fam = self.family
         if fam is Family.SA:
-            a, b = self.spec.a, self.spec.b
+            a, b = self.params["a"], self.params["b"]
             if g.kind is Kind.L:
                 if v.kind == "x":
                     coeff = a + embed(vi) + embed(gi) * b
@@ -216,7 +174,7 @@ class SeriesModule:
                 else:
                     coeff = a + embed(vi) + embed(gi) * (b - Fraction(1, 2)) * 2
         elif fam is Family.SAPRIME:
-            ap = self.spec.aprime
+            ap = self.params["a'"]
             if g.kind is Kind.L:
                 if v.kind == "x":
                     if vi.is_zero():
@@ -234,7 +192,7 @@ class SeriesModule:
                 else:
                     coeff = embed(vi) + embed(gi)
         else:
-            ap = self.spec.aprime
+            ap = self.params["a'"]
             if g.kind is Kind.L:
                 if v.kind == "x":
                     coeff = embed(vi) + embed(gi) * Fraction(1, 2)
@@ -281,8 +239,8 @@ class SeriesModule:
         """Eigenvalue of L_0 on v."""
         self._check_vector(v)
         base = self.config.embed(v.index)
-        if self.spec.family is Family.SA:
-            return self.spec.a + base
+        if self.family is Family.SA:
+            return self.params["a"] + base
         return base
 
     # -- box probes ----------------------------------------------------------------

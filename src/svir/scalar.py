@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import operator
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -772,13 +773,21 @@ def poly_str(poly, names):
                 factors.append(f"{name}^{e}")
         mag = abs(coeff)
         if not factors:
-            body = str(mag)
+            body = _rational_str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([_rational_str(mag)] + factors)
         pieces.append(("-" if coeff < 0 else "+", body))
     return signed_sum(pieces)
+
+
+def _rational_str(q: Fraction) -> str:
+    """str(q) at any length: str of an int stops at the interpreter's digit
+    limit (sys.get_int_max_str_digits), str of a Decimal does not."""
+    if q.denominator == 1:
+        return str(Decimal(q.numerator))
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def signed_sum(pieces):

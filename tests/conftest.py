@@ -4,7 +4,7 @@ import pytest
 
 from svir.lattice import AlgebraConfig
 from svir.algebra import SuperVirasoro
-from svir.repmod import ModuleSpec, SeriesModule
+from svir.repmod import Family, SeriesModule
 
 HALF = Fraction(1, 2)
 
@@ -22,14 +22,14 @@ def sv(cfg):
 
 @pytest.fixture(scope="session")
 def sa(cfg):
-    return SeriesModule(cfg, ModuleSpec.sa(cfg.var("a"), cfg.var("b")))
+    return SeriesModule(cfg, Family.SA, {"a": cfg.var("a"), "b": cfg.var("b")})
 
 
 @pytest.fixture(scope="session")
 def sa_prime(cfg):
-    return SeriesModule(cfg, ModuleSpec.sa_prime(cfg.var("a'")))
+    return SeriesModule(cfg, Family.SAPRIME, {"a'": cfg.var("a'")})
 
 
 @pytest.fixture(scope="session")
 def sb_prime(cfg):
-    return SeriesModule(cfg, ModuleSpec.sb_prime(cfg.var("a'")))
+    return SeriesModule(cfg, Family.SBPRIME, {"a'": cfg.var("a'")})

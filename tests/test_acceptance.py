@@ -22,7 +22,7 @@ from svir.cli import _basis_elements
 from svir.lattice import (AlgebraConfig, LatticeBasis, Parity, adapted_cone_basis,
                           cone_inclusion_check, iso_check, nested_cone_basis,
                           unimodular_det)
-from svir.repmod import BoxSpec, ModuleSpec, SeriesModule
+from svir.repmod import BoxSpec, Family, SeriesModule
 
 from jacobi_defect import DEFECT, expected_jacobi_residual, kind_order
 
@@ -106,7 +106,7 @@ def _rep_suite(module, gen_radius, vec_radius):
 
 def test_criterion_03_representation_suite_sa():
     cfg = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "b"))
-    module = SeriesModule(cfg, ModuleSpec.sa(cfg.var("a"), cfg.var("b")))
+    module = SeriesModule(cfg, Family.SA, {"a": cfg.var("a"), "b": cfg.var("b")})
     count, failures = _rep_suite(module, 2, 1)
     ok = _line(3, f"SA module axiom: {count} triples, symbolic a and b",
                not failures)
@@ -119,9 +119,7 @@ def test_criterion_03_representation_suite_sa():
 @pytest.mark.parametrize("family", ["SAprime", "SBprime"])
 def test_criterion_04_representation_suite_primed(family):
     cfg = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a'",))
-    spec = (ModuleSpec.sa_prime(cfg.var("a'")) if family == "SAprime"
-            else ModuleSpec.sb_prime(cfg.var("a'")))
-    module = SeriesModule(cfg, spec)
+    module = SeriesModule(cfg, Family(family), {"a'": cfg.var("a'")})
     count, failures = _rep_suite(module, 2, 1)
     ok = _line(4, f"{family} module axiom: {count} triples, symbolic a'",
                not failures)
@@ -175,7 +173,7 @@ def test_criterion_07_ladder_identities(lean_cfg):
 def test_criterion_08_sb_prime_submodule_and_sa_fullness():
     cfg = AlgebraConfig(2, ("d1", "d2"), (HALF, 0),
                         extra_names=("a", "b", "a'"))
-    sb = SeriesModule(cfg, ModuleSpec.sb_prime(cfg.var("a'")))
+    sb = SeriesModule(cfg, Family.SBPRIME, {"a'": cfg.var("a'")})
     box2 = BoxSpec(2)
     y0 = sb.y((0, 0))
     closure_ok = sb.closure([y0], box2) == frozenset([y0])
@@ -184,7 +182,7 @@ def test_criterion_08_sb_prime_submodule_and_sa_fullness():
                  if v.index.parity.value == "even" and sb.weight_of(v).is_zero()]
     quotient_ok = (len(zero_even) == 1 and zero_even[0][1] == 0
                    and all(dim == 1 for v, dim in rows if v != y0))
-    sa = SeriesModule(cfg, ModuleSpec.sa(cfg.var("a"), cfg.var("b")))
+    sa = SeriesModule(cfg, Family.SA, {"a": cfg.var("a"), "b": cfg.var("b")})
     box1 = BoxSpec(1)
     full = frozenset(sa.basis_in_box(box1))
     sa_ok = sa.closure([sa.x((0, 0))], box1) == full and len(full) == 15
@@ -208,7 +206,7 @@ def _cone_meets_box(config, bprime, k, box):
 
 def test_criterion_09_ghw_probe_rejects_sa():
     cfg = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "b"))
-    sa = SeriesModule(cfg, ModuleSpec.sa(cfg.var("a"), cfg.var("b")))
+    sa = SeriesModule(cfg, Family.SA, {"a": cfg.var("a"), "b": cfg.var("b")})
     x0 = sa.vector(sa.x((0, 0)))
     box = BoxSpec(4)
     bases = [LatticeBasis.identity(2),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from svir.algebra import AlgebraElement, BasisElt, CENTRAL, Kind
 from svir.lattice import AlgebraConfig, Parity
-from svir.repmod import BoxSpec, ModuleSpec, ModuleVector, SeriesModule
+from svir.repmod import BoxSpec, Family, ModuleVector, SeriesModule
 from svir.scalar import InputError
 
 from jacobi_defect import expected_jacobi_residual
@@ -115,7 +115,7 @@ def test_graded_antisymmetry_and_weight_additivity_box(cfg, sv):
         if x.index is not None and y.index is not None:
             total = x.index + y.index
             for term in lhs.terms:
-                idx = term.index if term.index is not None else cfg.zero_index
+                idx = term.index if term.index is not None else cfg.even((0, 0))
                 assert idx.coords == total.coords
 
 
@@ -223,7 +223,7 @@ def test_basis_elt_validation(cfg):
 # -- bilinear accumulation against a plain-dict reference ---------------------
 
 _CFG = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "b"))
-_SA = SeriesModule(_CFG, ModuleSpec.sa(_CFG.var("a"), _CFG.var("b")))
+_SA = SeriesModule(_CFG, Family.SA, {"a": _CFG.var("a"), "b": _CFG.var("b")})
 _GENERATORS = [BasisElt(Kind.L, v) for v in _CFG.box(1, Parity.EVEN)] + \
     [BasisElt(Kind.G, v) for v in _CFG.box(1, Parity.ODD)] + [CENTRAL]
 _VECTORS = list(_SA.basis_in_box(BoxSpec(1)))

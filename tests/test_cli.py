@@ -84,6 +84,21 @@ def test_adapted_basis_command(tmp_path):
     assert result["entries"][0]["product"] == "d1"
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["bracket", "99999^1000*L[1,0]", "L[0,0]"], "L[1,0]"),
+    (["adapted-basis", "--mu", "[1,2000]"], "witness verified"),
+])
+def test_results_past_the_int_digit_limit_are_printed(tmp_path, capsys, argv, needle):
+    """Coefficients longer than sys.get_int_max_str_digits() still print."""
+    code, report = run(tmp_path, *argv)
+    assert code == 0 and report["passed"] is True
+    assert needle in capsys.readouterr().out
+    printed = report["results"][0]
+    longest = (printed["result"] if argv[0] == "bracket"
+               else max((e["product"] for e in printed["entries"]), key=len))
+    assert len(longest) > sys.get_int_max_str_digits()
+
+
 def test_ladder_command(tmp_path):
     code, report = run(tmp_path, "ladder", "--m", "4")
     assert code == 0
@@ -429,7 +444,9 @@ _BAD_INPUTS = {
     "not-utf8": ("\udcff", _BRACKET, _NOT_JSON),
     "json-nested-too-deeply": ("[" * 100_000 + "]" * 100_000, _BRACKET, _NOT_JSON),
     "missing-config": (None, ["--config", "missing.json", *_BRACKET],
-                       "error: [Errno 2] No such file or directory"),
+                       "error: cannot read config missing.json: "),
+    "config-is-a-directory": (None, ["--config", ".", *_BRACKET],
+                              "error: cannot read config .: "),
     "duplicate-names": ({"d_names": ["d1", "d1"]}, _BRACKET,
                         "error: bad configuration: indeterminate names must be unique\n"),
     "rank-1-cone-basis": ({"n": 1}, ["cone-basis", "--k", "1"],

@@ -201,6 +201,17 @@ def test_adapted_basis_unimodular_rank3():
         assert abs(unimodular_det(ab.basis)) == 1, coords
 
 
+def test_adapted_basis_rows_are_recorded_chains():
+    cfg3 = AlgebraConfig(3, ("d1", "d2", "d3"), (0, 0, 0))
+    for coords in itertools.product(range(-3, 4), repeat=3):
+        mu = cfg3.even(coords)
+        ab = adapted_cone_basis(mu)
+        assert len(ab.chains) == 3, coords
+        for row, (step, copies) in enumerate(ab.chains):
+            assert ab.basis.row_vector(row) == mu.scale(copies + 1) + step, coords
+            assert copies >= 0 and all(abs(t) <= 2 for t in step.twice), coords
+
+
 def test_adapted_basis_needs_rank_two():
     cfg1 = AlgebraConfig(1, ("d1",), (0,))
     with pytest.raises(ValueError):

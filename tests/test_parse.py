@@ -9,7 +9,7 @@ from svir.lattice import AlgebraConfig, Parity
 from svir.parse import (ParseError, parse_element, parse_index,
                         parse_rational_matrix, parse_rational_vector,
                         parse_scalar)
-from svir.repmod import BoxSpec, Family, ModuleSpec, ModuleVector, SeriesModule
+from svir.repmod import BoxSpec, Family, ModuleVector, SeriesModule
 
 HALF = Fraction(1, 2)
 
@@ -58,22 +58,22 @@ def test_rational_function_coefficient(cfg, sv):
 
 
 def test_module_vectors(cfg, sa, sb_prime):
-    vec = parse_element(cfg, "x[0,0] + 3*y[1/2,0]", spec=sa.spec)
+    vec = parse_element(cfg, "x[0,0] + 3*y[1/2,0]", family=sa.family)
     assert isinstance(vec, ModuleVector)
     assert vec.terms == {sa.x((0, 0)): cfg.ctx.one,
                          sa.y((HALF, 0)): cfg.scalar(3)}
     # SB' swaps the parities
-    vec = parse_element(cfg, "x[1/2,0]", spec=sb_prime.spec)
+    vec = parse_element(cfg, "x[1/2,0]", family=sb_prime.family)
     assert vec.terms == {sb_prime.x((HALF, 0)): cfg.ctx.one}
     with pytest.raises(ParseError):
-        parse_element(cfg, "x[1/2,0]", spec=sa.spec)
+        parse_element(cfg, "x[1/2,0]", family=sa.family)
     with pytest.raises(ParseError):
         parse_element(cfg, "x[0,0]")  # no family in scope
 
 
 def test_mixing_symbols_fails(cfg, sa):
     with pytest.raises(ParseError):
-        parse_element(cfg, "L[1,0] + x[0,0]", spec=sa.spec)
+        parse_element(cfg, "L[1,0] + x[0,0]", family=sa.family)
 
 
 def test_syntax_errors_carry_positions(cfg):
@@ -161,12 +161,12 @@ def test_element_print_parse_round_trip(cfg, sv, sa):
         sa.vector(sa.x((0, 0))) - sa.vector(sa.y((HALF, 0))).scale(cfg.var("b")),
     ]
     for vec in vectors:
-        assert parse_element(cfg, str(vec), spec=sa.spec) == vec
+        assert parse_element(cfg, str(vec), family=sa.family) == vec
 
 
 def test_zero_element_round_trip(cfg, sa):
     assert parse_element(cfg, "0") == AlgebraElement({})
-    assert parse_element(cfg, "0", spec=sa.spec) == ModuleVector({})
+    assert parse_element(cfg, "0", family=sa.family) == ModuleVector({})
 
 
 def test_index_literals(cfg):
@@ -204,8 +204,8 @@ _CFG = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "b", "a'"))
 _ATOMS = [_CFG.var(name) for name in _CFG.ctx.names]
 _GENERATORS = [BasisElt(Kind.L, v) for v in _CFG.box(1, Parity.EVEN)] + \
     [BasisElt(Kind.G, v) for v in _CFG.box(1, Parity.ODD)] + [CENTRAL]
-_MODULES = [SeriesModule(_CFG, ModuleSpec.of(family, {name: _CFG.var(name)
-                                                      for name in family.param_names}))
+_MODULES = [SeriesModule(_CFG, family, {name: _CFG.var(name)
+                                        for name in family.param_names})
             for family in Family]
 _RATIONALS = st.fractions(-3, 3, max_denominator=4)
 
@@ -243,7 +243,7 @@ def test_printed_elements_parse_back(algebra_terms, module, data):
     assert parse_element(_CFG, str(elt)) == elt
     vec_terms = data.draw(_terms(list(module.basis_in_box(BoxSpec(1)))))
     vec = ModuleVector.from_terms(vec_terms)
-    assert parse_element(_CFG, str(vec), spec=module.spec) == vec
+    assert parse_element(_CFG, str(vec), family=module.family) == vec
 
 
 # -- one grammar: positions, widenings and a pinned corpus ------------------------
@@ -261,12 +261,12 @@ def test_unary_minus_after_star_negates_an_element(cfg):
 
 
 _DECLARED_C = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "c"))
-_SPECS = {module.spec.family.value: module.spec for module in _MODULES}
+_FAMILIES = {family.value: family for family in Family}
 _A, _M = AlgebraElement, ModuleVector
 
 # (session, literal, (type, printed value) or None for a ParseError).  The
 # session "c" declares c as an indeterminate; "SA" and "SBprime" pass that
-# family's spec.  Values are those of the earlier parser, which split a
+# family.  Values are those of the earlier parser, which split a
 # literal into terms before parsing each coefficient, except where marked.
 _CORPUS = [
     ("alg", "L[1,-2]", (_A, "L[1,-2]")),
@@ -338,15 +338,15 @@ _CORPUS = [
                          ids=[f"{s}:{t}" for s, t, _ in _CORPUS])
 def test_literal_corpus(session, text, expected):
     config = _DECLARED_C if session == "c" else _CFG
-    spec = _SPECS.get(session)
+    family = _FAMILIES.get(session)
     if expected is None:
         with pytest.raises(ParseError) as info:
-            parse_element(config, text, spec=spec)
+            parse_element(config, text, family=family)
         pos = info.value.pos
         assert pos is not None and 0 <= pos <= len(text)
         assert str(info.value).endswith(f"(at position {pos} in {text!r})")
     else:
-        value = parse_element(config, text, spec=spec)
+        value = parse_element(config, text, family=family)
         assert (type(value), str(value)) == expected
 
 
@@ -360,7 +360,7 @@ _PIECES = ["L[1,0]", "G[1/2,0]", "x[0,0]", "y[1/2,0]", "c", "a", "q", "2", "0",
 def test_every_element_parse_error_names_an_offset(pieces, family):
     text = "".join(pieces)
     try:
-        parse_element(_CFG, text, spec=_SPECS.get(family))
+        parse_element(_CFG, text, family=_FAMILIES.get(family))
     except ParseError as exc:
         assert exc.pos is not None and 0 <= exc.pos <= len(text)
         assert str(exc).endswith(f"(at position {exc.pos} in {text!r})")

@@ -6,10 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from svir.algebra import CENTRAL, BasisElt, Kind
 from svir.lattice import AlgebraConfig, LatticeBasis, Parity
-from svir.repmod import BoxSpec, Family, ModuleSpec, SeriesModule
+from svir.repmod import BoxSpec, Family, SeriesModule
 from svir.scalar import InputError
 
 HALF = Fraction(1, 2)
+
+
+def test_family_parity_of_x_and_y():
+    assert [(f.parity("x"), f.parity("y")) for f in Family] == [
+        (Parity.EVEN, Parity.ODD), (Parity.EVEN, Parity.ODD), (Parity.ODD, Parity.EVEN)]
 
 
 def test_sa_action_table(cfg, sa, sv):
@@ -165,7 +170,7 @@ def test_simplicity_probe_specialized_parameters():
     """At a = 0, b = 1/2 with an integral coset, the odd zero-weight line
     becomes invariant because both acting coefficients vanish."""
     cfg0 = AlgebraConfig(2, ("d1", "d2"), (0, 0), extra_names=("a", "b"))
-    module = SeriesModule(cfg0, ModuleSpec.sa(cfg0.scalar(0), cfg0.scalar(HALF)))
+    module = SeriesModule(cfg0, Family.SA, {"a": cfg0.scalar(0), "b": cfg0.scalar(HALF)})
     _, candidates = module.simplicity_probe(BoxSpec(1))
     assert [[str(b) for b in cand] for cand in candidates] == [["y[0,0]"]]
 
@@ -196,17 +201,17 @@ def _probe_modules():
     cfg0 = AlgebraConfig(2, ("d1", "d2"), (0, 0), extra_names=("a", "b"))
     ap, zero, minus_d1 = cfg.var("a'"), cfg.scalar(0), -cfg.var("d1")
     return {
-        "SA": SeriesModule(cfg, ModuleSpec.sa(cfg.var("a"), cfg.var("b"))),
-        "SAprime": SeriesModule(cfg, ModuleSpec.sa_prime(ap)),
-        "SBprime": SeriesModule(cfg, ModuleSpec.sb_prime(ap)),
+        "SA": SeriesModule(cfg, Family.SA, {"a": cfg.var("a"), "b": cfg.var("b")}),
+        "SAprime": SeriesModule(cfg, Family.SAPRIME, {"a'": ap}),
+        "SBprime": SeriesModule(cfg, Family.SBPRIME, {"a'": ap}),
         # a = 0, b = 1/2 on an integral coset: y_0 becomes invariant
-        "SA-a=0,b=1/2": SeriesModule(cfg0, ModuleSpec.sa(cfg0.scalar(0),
-                                                         cfg0.scalar(HALF))),
-        "SAprime-a'=0": SeriesModule(cfg, ModuleSpec.sa_prime(zero)),
-        "SBprime-a'=0": SeriesModule(cfg, ModuleSpec.sb_prime(zero)),
+        "SA-a=0,b=1/2": SeriesModule(cfg0, Family.SA, {"a": cfg0.scalar(0),
+                                                        "b": cfg0.scalar(HALF)}),
+        "SAprime-a'=0": SeriesModule(cfg, Family.SAPRIME, {"a'": zero}),
+        "SBprime-a'=0": SeriesModule(cfg, Family.SBPRIME, {"a'": zero}),
         # a' = -d1 zeroes the index-0 special cases at mu = [1,0], lambda = [1/2,0]
-        "SAprime-a'=-d1": SeriesModule(cfg, ModuleSpec.sa_prime(minus_d1)),
-        "SBprime-a'=-d1": SeriesModule(cfg, ModuleSpec.sb_prime(minus_d1)),
+        "SAprime-a'=-d1": SeriesModule(cfg, Family.SAPRIME, {"a'": minus_d1}),
+        "SBprime-a'=-d1": SeriesModule(cfg, Family.SBPRIME, {"a'": minus_d1}),
     }
 
 
@@ -304,8 +309,8 @@ def test_box_spec_validation(cfg):
     assert not box.contains(cfg.even((2, 0)))
 
 
-def test_module_spec_validation(cfg):
-    with pytest.raises(ValueError):
-        ModuleSpec(Family.SA, a=cfg.var("a"))
-    with pytest.raises(ValueError):
-        ModuleSpec(Family.SBPRIME, a=cfg.var("a"), aprime=cfg.var("a'"))
+def test_module_parameter_validation(cfg):
+    with pytest.raises(ValueError, match="^SA takes the parameters a, b$"):
+        SeriesModule(cfg, Family.SA, {"a": cfg.var("a")})
+    with pytest.raises(ValueError, match="^SBprime takes the parameters a'$"):
+        SeriesModule(cfg, Family.SBPRIME, {"a": cfg.var("a"), "a'": cfg.var("a'")})

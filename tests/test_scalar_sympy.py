@@ -67,7 +67,10 @@ def test_make_matches_sympy_cancel(data):
     if g.is_zero() or h.is_zero():
         return
     got = ScalarExpr.make(ctx, f.mul(h), g.mul(h))
-    text = str(sympy.cancel(fs / gs)).replace("**", "^")
+    # as a quotient of polynomials: sympy prints 1/t1**2 as t1**(-2), which
+    # the scalar grammar does not read
+    num, den = sympy.fraction(sympy.cancel(fs / gs))
+    text = f"({num})/({den})".replace("**", "^")
     assert got == parse_scalar(ctx, text)
 
 
