@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .formal import FormalSum
-from .lattice import AlgebraConfig, IndexVector, Parity, adapted_cone_basis
+from .lattice import AlgebraConfig, IndexVector, Parity, _Interned, adapted_cone_basis
 from .scalar import InputError, ScalarExpr
 
 
@@ -36,23 +36,29 @@ class Kind(Enum):
 _KIND_RANK = {Kind.L: 0, Kind.G: 1, Kind.C: 2}
 
 
-@dataclass(frozen=True)
-class BasisElt:
-    """L_mu, G_eta or the central element c."""
+_BASIS = {}   # (kind.value, index) -> BasisElt
 
-    kind: Kind
-    index: IndexVector | None
 
-    def __post_init__(self):
-        if self.kind is Kind.C:
-            if self.index is not None:
-                raise InputError("the central element carries no index")
-        elif self.kind is Kind.L:
-            if self.index is None or self.index.parity is not Parity.EVEN:
-                raise InputError("L requires an even index")
-        else:
-            if self.index is None or self.index.parity is not Parity.ODD:
-                raise InputError("G requires an odd index")
+class BasisElt(_Interned):
+    """L_mu, G_eta or the central element c.  Interned: one object per value."""
+
+    __slots__ = ("kind", "index")
+
+    def __new__(cls, kind, index):
+        key = (kind._value_, index)
+        self = _BASIS.get(key)
+        if self is None:
+            if kind is Kind.C:
+                if index is not None:
+                    raise InputError("the central element carries no index")
+            elif kind is Kind.L:
+                if index is None or index.parity is not Parity.EVEN:
+                    raise InputError("L requires an even index")
+            else:
+                if index is None or index.parity is not Parity.ODD:
+                    raise InputError("G requires an odd index")
+            self = cls._intern(_BASIS, key, kind, index)
+        return self
 
     @property
     def parity(self) -> int:

@@ -17,6 +17,7 @@ import itertools
 import json
 import os
 import sys
+from decimal import Decimal
 
 from .algebra import AlgebraElement, BasisElt, CENTRAL, Kind, SuperVirasoro
 from .lattice import (AlgebraConfig, LatticeBasis, Parity, cone_inclusion_check,
@@ -122,7 +123,8 @@ def _box_size(config, radius):
 def _limit_checks(checks):
     """Refuse a run of more than MAX_CHECKS checks, before it starts."""
     if checks > MAX_CHECKS:
-        raise InputError(f"this run needs {checks:,} checks, more than the limit "
+        # through Decimal: str of an int stops at the int-to-str digit limit
+        raise InputError(f"this run needs {Decimal(checks):,} checks, more than the limit "
                          f"of {MAX_CHECKS:,}; choose a smaller radius")
 
 

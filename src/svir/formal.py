@@ -76,7 +76,7 @@ class FormalSum:
     def scale(self, coeff: ScalarExpr):
         if coeff.is_zero():
             return type(self)({})
-        if coeff.is_one():
+        if coeff is coeff.ctx.one:
             return self
         return type(self)({sym: c * coeff for sym, c in self.terms.items()})
 

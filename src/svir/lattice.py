@@ -5,7 +5,8 @@ where 2*sigma is integral.  Index vectors embed into the scalar field as
 linear combinations of the d-indeterminates, so all identity checking stays
 exact and symbolic.
 
-Everything here is immutable and pure.
+Values here are immutable, and index vectors are interned: one
+IndexVector object per value, so equality and hashing are identity.
 """
 
 from __future__ import annotations
@@ -27,12 +28,46 @@ class Parity(Enum):
         return Parity.EVEN if self is other else Parity.ODD
 
 
-@dataclass(frozen=True)
-class IndexVector:
-    """Index stored as twice its coordinates (ints on both cosets) and its parity class."""
+class _Interned:
+    """Base of the interned symbol classes: one object per value in the
+    process, so == and hash are identity, and the fields (the slots) cannot
+    be assigned.  A subclass's __new__ looks its key up in its own table
+    and, on a miss, validates and calls _intern.  The tables are
+    process-wide, append-only and unlocked; they serve one thread."""
 
-    twice: tuple
-    parity: Parity
+    __slots__ = ()
+
+    @classmethod
+    def _intern(cls, table, key, *fields):
+        self = table[key] = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+_INDEXES = {}   # (twice, parity is ODD) -> IndexVector
+
+
+class IndexVector(_Interned):
+    """Index stored as twice its coordinates (ints on both cosets) and its
+    parity class.  Interned: one object per value."""
+
+    __slots__ = ("twice", "parity")
+    __hash__ = object.__hash__  # in the class dict, where bench/tracer.py wraps it
+
+    def __new__(cls, twice, parity):
+        key = (twice, parity is Parity.ODD)
+        self = _INDEXES.get(key)
+        return cls._intern(_INDEXES, key, twice, parity) if self is None else self
 
     @property
     def coords(self):

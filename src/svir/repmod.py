@@ -38,7 +38,7 @@ from fractions import Fraction
 from .algebra import BasisElt, Kind, SuperVirasoro
 from .formal import FormalSum
 from .lattice import (AlgebraConfig, ConeSpec, IndexVector, LatticeBasis, Parity,
-                      cone_member, unimodular_det)
+                      _Interned, cone_member, unimodular_det)
 from .scalar import InputError, ScalarExpr, as_fraction
 
 
@@ -57,16 +57,22 @@ class Family(Enum):
         return Parity.EVEN if (kind == "x") != (self is Family.SBPRIME) else Parity.ODD
 
 
-@dataclass(frozen=True)
-class ModuleBasisVector:
-    """x or y basis symbol with its index."""
+_VECTORS = {}   # (kind, index) -> ModuleBasisVector
 
-    kind: str
-    index: IndexVector
 
-    def __post_init__(self):
-        if self.kind not in ("x", "y"):
-            raise InputError("module basis symbols are x and y")
+class ModuleBasisVector(_Interned):
+    """x or y basis symbol with its index.  Interned: one object per value."""
+
+    __slots__ = ("kind", "index")
+
+    def __new__(cls, kind, index):
+        key = (kind, index)
+        self = _VECTORS.get(key)
+        if self is None:
+            if kind not in ("x", "y"):
+                raise InputError("module basis symbols are x and y")
+            self = cls._intern(_VECTORS, key, kind, index)
+        return self
 
     def sort_key(self):
         return (self.kind, self.index.twice)

@@ -683,6 +683,11 @@ class ScalarExpr:
     def __mul__(self, other):
         other = self._coerce(other)
         ctx = self.ctx
+        # a product by the shared one builds nothing
+        if self is ctx.one:
+            return other
+        if other is ctx.one:
+            return self
         one = ctx._poly_one
         if self.den is one and other.den is one:
             return ScalarExpr(ctx, self.num.mul(other.num), one)

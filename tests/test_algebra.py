@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svir.algebra import AlgebraElement, BasisElt, CENTRAL, Kind
+from svir.algebra import AlgebraElement, BasisElt, CENTRAL, Kind, SuperVirasoro
 from svir.lattice import AlgebraConfig, Parity
 from svir.repmod import BoxSpec, Family, ModuleVector, SeriesModule
 from svir.scalar import InputError
@@ -212,12 +212,41 @@ def test_bracket_witness_rank3():
 
 
 def test_basis_elt_validation(cfg):
-    with pytest.raises(InputError, match="L requires an even index"):
-        BasisElt(Kind.L, cfg.odd((HALF, 0)))
-    with pytest.raises(InputError, match="G requires an odd index"):
-        BasisElt(Kind.G, cfg.even((1, 0)))
-    with pytest.raises(ValueError):
-        BasisElt(Kind.C, cfg.even((0, 0)))
+    odd, even = cfg.odd((HALF, 0)), cfg.even((1, 0))
+    # valid symbols on the same indices are interned first, and each
+    # invalid one is still refused every time
+    BasisElt(Kind.G, odd), BasisElt(Kind.L, even)
+    for _ in range(2):
+        with pytest.raises(InputError, match="L requires an even index"):
+            BasisElt(Kind.L, odd)
+        with pytest.raises(InputError, match="G requires an odd index"):
+            BasisElt(Kind.G, even)
+        with pytest.raises(InputError, match="the central element carries no index"):
+            BasisElt(Kind.C, even)
+
+
+def test_basis_elts_are_interned(cfg, sv):
+    mu = cfg.even((1, 0))
+    assert sv.L((1, 0)) is BasisElt(Kind.L, mu)
+    other = AlgebraConfig(2, ("e1", "e2"), (-HALF, 0))
+    assert SuperVirasoro(other).G((HALF, 0)) is sv.G((HALF, 0))
+    assert BasisElt(Kind.C, None) is CENTRAL
+    out = sv.bracket_basis(sv.L((1, 0)), sv.L((-1, 0)))
+    assert BasisElt(Kind.L, mu - mu) in out.terms and CENTRAL in out.terms
+
+
+@pytest.mark.parametrize("field", ["kind", "index"])
+def test_basis_elt_fields_cannot_be_assigned(sv, field):
+    g = sv.G((HALF, 0))
+    with pytest.raises(AttributeError):
+        setattr(g, field, getattr(g, field))
+    assert g.kind is Kind.G and g is sv.G((HALF, 0))
+
+
+def test_basis_elt_repr_shows_its_fields(sv):
+    assert repr(sv.L((1, 0))) == ("BasisElt(kind=<Kind.L: 'L'>, index=IndexVector("
+                                  "twice=(2, 0), parity=<Parity.EVEN: 'even'>))")
+    assert repr(CENTRAL) == "BasisElt(kind=<Kind.C: 'c'>, index=None)"
 
 
 # -- bilinear accumulation against a plain-dict reference ---------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,29 @@ def test_reports_are_deterministic(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ["jacobi-fuzz", "--radius", "1"],
+    ["simplicity", "--family", "SAprime", "--radius", "2"],
+    ["quotient", "--family", "SBprime", "--seeds", "y[0,0]", "--radius", "2"],
+], ids=["jacobi-fuzz", "simplicity", "quotient"])
+def test_reports_are_deterministic_across_processes(tmp_path, argv):
+    # Interned symbols hash by address, so a report that read a set of
+    # symbols in set order could differ between processes, never within one.
+    # The low address bits that set order reads repeat from run to run under
+    # one allocator, so the second run also switches to the C allocator.
+    outputs = []
+    for seed, allocator in (("1", "pymalloc"), ("7", "malloc")):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(svir.__file__).parents[1]),
+                   PYTHONHASHSEED=seed, PYTHONMALLOC=allocator)
+        proc = subprocess.run([sys.executable, "-m", "svir", *argv], cwd=cwd, env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode in (0, 1) and proc.stderr == b""
+        outputs.append((proc.stdout, (cwd / "report.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def write_config(tmp_path, config):
     path = tmp_path / "session.json"
     path.write_text(json.dumps(config))
@@ -503,6 +527,10 @@ _BAD_INPUTS = {
                            _too_many("11,029,041")),
     "ghw-radius-200": (None, ["ghw", "--family", "SA", "--vector", "x[0,0]",
                               "--radius", "200"], _too_many("1,282,401")),
+    # a count past the interpreter's int-to-str digit limit
+    "simplicity-radius-10^3000": (
+        None, ["simplicity", "--family", "SA", "--radius", str(10**3000)],
+        _too_many(f"{Decimal(((2 * 10**3000 + 1) * (4 * 10**3000 + 1)) ** 2):,}")),
 }
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svir.lattice import (AlgebraConfig, ConeSpec, LatticeBasis, Parity,
+from svir.lattice import (AlgebraConfig, ConeSpec, IndexVector, LatticeBasis, Parity,
                           adapted_cone_basis, change_of_coords,
                           cone_inclusion_check, cone_member, iso_check,
                           nested_cone_basis, unimodular_det)
@@ -283,6 +283,35 @@ def test_index_vector_arithmetic(cfg):
     assert w.parity is Parity.EVEN
     with pytest.raises(InputError, match="only even index vectors"):
         cfg.odd((HALF, 0)).scale(2)
+
+
+def test_index_vectors_are_interned(cfg):
+    v = cfg.even((1, 0))
+    assert v is IndexVector((2, 0), Parity.EVEN)
+    other = AlgebraConfig(2, ("e1", "e2"), (-HALF, 0))
+    assert other.even((1, 0)) is v
+    assert other.odd((HALF, 0)) is cfg.odd((HALF, 0))
+    assert cfg.odd((HALF, 0)) is not cfg.odd((-HALF, 0))
+    assert IndexVector((1, 0), Parity.ODD) is not IndexVector((1, 0), Parity.EVEN)
+    a, b = cfg.even((2, -1)), cfg.odd((-HALF, 3))
+    assert a + b is cfg.odd((Fraction(3, 2), 2))
+    assert a - a is cfg.even((0, 0))
+    assert (b - a) + a is b
+
+
+@pytest.mark.parametrize("field", ["twice", "parity"])
+def test_index_vector_fields_cannot_be_assigned(cfg, field):
+    v = cfg.even((1, 0))
+    with pytest.raises(AttributeError):
+        setattr(v, field, getattr(v, field))
+    with pytest.raises(AttributeError):
+        delattr(v, field)
+    assert v is cfg.even((1, 0)) and v.twice == (2, 0)
+
+
+def test_index_vector_repr_shows_its_fields(cfg):
+    assert repr(cfg.odd((HALF, -1))) == \
+        "IndexVector(twice=(1, -2), parity=<Parity.ODD: 'odd'>)"
 
 
 def test_basis_rejects_non_integral_entries():

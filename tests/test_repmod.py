@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from svir.algebra import CENTRAL, BasisElt, Kind
 from svir.lattice import AlgebraConfig, LatticeBasis, Parity
-from svir.repmod import BoxSpec, Family, SeriesModule
+from svir.repmod import BoxSpec, Family, ModuleBasisVector, SeriesModule
 from svir.scalar import InputError
 
 HALF = Fraction(1, 2)
@@ -121,6 +121,35 @@ def test_parity_validation(cfg, sa, sb_prime):
     # a vector built for SA cannot be fed to SB'
     with pytest.raises(InputError, match="x carries odd indices in SBprime"):
         sb_prime.vector(sa.x((0, 0)))
+
+
+def test_module_basis_vectors_are_interned(cfg, sa, sb_prime):
+    assert sa.x((1, 0)) is ModuleBasisVector("x", cfg.even((1, 0)))
+    assert sb_prime.y((1, 0)) is ModuleBasisVector("y", cfg.even((1, 0)))
+    assert sa.y((HALF, 0)) is not sb_prime.x((HALF, 0))
+    other = AlgebraConfig(2, ("e1", "e2"), (-HALF, 0), extra_names=("a'",))
+    module = SeriesModule(other, Family.SAPRIME, {"a'": other.var("a'")})
+    assert module.y((HALF, 0)) is sa.y((HALF, 0))
+
+
+def test_module_basis_vector_validation_runs_after_interning(cfg, sa):
+    sa.x((0, 0))
+    for _ in range(2):
+        with pytest.raises(InputError, match="module basis symbols are x and y"):
+            ModuleBasisVector("z", cfg.even((0, 0)))
+
+
+@pytest.mark.parametrize("field", ["kind", "index"])
+def test_module_basis_vector_fields_cannot_be_assigned(sa, field):
+    v = sa.x((1, 0))
+    with pytest.raises(AttributeError):
+        setattr(v, field, getattr(v, field))
+    assert v.kind == "x" and v is sa.x((1, 0))
+
+
+def test_module_basis_vector_repr_shows_its_fields(sa):
+    assert repr(sa.y((HALF, 0))) == ("ModuleBasisVector(kind='y', index=IndexVector("
+                                     "twice=(1, 0), parity=<Parity.ODD: 'odd'>))")
 
 
 def test_closure_sb_prime_fixed_point(cfg, sb_prime, sv):

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svir.algebra import CENTRAL, AlgebraElement
 from svir.scalar import (InputError, PolyExact, ScalarContext, ScalarDivisionError,
                          ScalarExpr, divexact, poly_gcd)
 
@@ -267,6 +268,18 @@ def test_cancelled_denominator_is_the_shared_constant(ctx):
                      ((d1 - 1) / (1 - d1), ctx.scalar(-1))):
         assert q == value
         assert q.den is ctx._poly_one
+
+
+def test_products_by_the_shared_one_return_the_other_factor(ctx):
+    d1, a = ctx.var("d1"), ctx.var("a")
+    for x in (d1 * a - 3, (d1 + 1) / (a - 2), ctx.one, ctx.zero):
+        assert ctx.one * x is x
+        assert x * ctx.one is x
+        # a 1 that is not the shared object multiplies as any scalar does
+        assert ctx.scalar(1) * x == x and x * ctx.scalar(1) == x
+    element = AlgebraElement({CENTRAL: (d1 + 1) / (a - 2)})
+    assert element.scale(ctx.one) is element
+    assert element.scale(ctx.scalar(1)) == element
 
 
 @given(polys_and_fractions(), polys_and_fractions())
