@@ -18,12 +18,13 @@ the residual is reported verbatim; signs are never adjusted silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 
-from .formal import FormalSum
-from .lattice import AlgebraConfig, IndexVector, Parity, _Interned, adapted_cone_basis
+from .formal import FormalSum, bilinear_terms
+from .lattice import (AlgebraConfig, IndexVector, Parity, _Frozen, _Interned,
+                      adapted_cone_basis)
 from .scalar import InputError, ScalarExpr
 
 
@@ -115,6 +116,14 @@ class SuperVirasoro:
             return AlgebraElement({x: self.config.ctx.one})
         raise TypeError(f"cannot coerce {x!r} to an algebra element")
 
+    def homogeneous_terms(self, x):
+        """(terms of x, parity of x) without wrapping a basis element; the
+        parity is None when x mixes parities."""
+        if isinstance(x, BasisElt):
+            return ((x, self.config.ctx.one),), x.parity
+        x = self.element(x)
+        return x.items(), x.parity()
+
     # -- the bracket -----------------------------------------------------------
 
     def bracket_basis(self, x: BasisElt, y: BasisElt) -> AlgebraElement:
@@ -166,6 +175,8 @@ class SuperVirasoro:
 
     def bracket(self, x, y) -> AlgebraElement:
         """Bilinear extension of the basis bracket."""
+        if isinstance(x, BasisElt) and isinstance(y, BasisElt):
+            return self.bracket_basis(x, y)
         return AlgebraElement.bilinear(self.element(x), self.element(y),
                                        self.bracket_basis)
 
@@ -177,14 +188,17 @@ class SuperVirasoro:
         Returns [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]; zero
         certifies the identity on that triple.
         """
-        x, y, z = self.element(x), self.element(y), self.element(z)
-        px, py, pz = x.parity(), y.parity(), z.parity()
+        xs, px = self.homogeneous_terms(x)
+        ys, py = self.homogeneous_terms(y)
+        zs, pz = self.homogeneous_terms(z)
         if px is None or py is None or pz is None:
             raise InputError("the Jacobi residual needs homogeneous inputs")
-        inner = self.bracket(y, self.bracket(x, z))
-        return AlgebraElement.sum((self.bracket(x, self.bracket(y, z)),
-                                   -self.bracket(self.bracket(x, y), z),
-                                   inner if px and py else -inner))
+        yz, xy, xz = self.bracket(y, z), self.bracket(x, y), self.bracket(x, z)
+        bb = self.bracket_basis
+        return AlgebraElement.from_terms(chain(
+            bilinear_terms(xs, yz.items(), bb),
+            bilinear_terms(xy.items(), zs, bb, negate=True),
+            bilinear_terms(ys, xz.items(), bb, negate=not (px and py))))
 
     def ad_power(self, x, m: int, y) -> AlgebraElement:
         """m-fold left bracket with x; m = 0 returns y unchanged."""
@@ -264,14 +278,12 @@ class SuperVirasoro:
         return adapted, tuple(entries), ok
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
+class WitnessEntry(_Frozen):
     """One adapted-basis row reached from L_start by copies ad L_mu steps."""
 
-    row: int
-    start: IndexVector
-    copies: int
-    product: ScalarExpr
-    step: IndexVector
-    step_in_neighborhood: bool
-    bracket_ok: bool
+    __slots__ = ("row", "start", "copies", "product", "step", "step_in_neighborhood",
+                 "bracket_ok")
+
+    def __init__(self, row: int, start: IndexVector, copies: int, product: ScalarExpr,
+                 step: IndexVector, step_in_neighborhood: bool, bracket_ok: bool):
+        self._set(row, start, copies, product, step, step_in_neighborhood, bracket_ok)

@@ -17,6 +17,18 @@ def _merge(terms, items):
     return terms
 
 
+def bilinear_terms(xs, ys, basis_map, negate=False):
+    """The (symbol, coefficient) items of the bilinear extension of basis_map
+    to the term lists xs and ys, negated when negate is set; from_terms
+    sums them."""
+    for bx, cx in xs:
+        for by, cy in ys:
+            k = cx * cy
+            for sym, c in basis_map(bx, by).items():
+                c = c * k
+                yield sym, -c if negate else c
+
+
 class FormalSum:
     """Immutable linear combination: basis symbol -> nonzero ScalarExpr.
 
@@ -52,8 +64,7 @@ class FormalSum:
     @classmethod
     def bilinear(cls, x, y, basis_map):
         """Bilinear extension of basis_map(symbol of x, symbol of y)."""
-        return cls.sum([basis_map(bx, by).scale(cx * cy)
-                        for bx, cx in x.items() for by, cy in y.items()])
+        return cls.from_terms(bilinear_terms(x.items(), y.items(), basis_map))
 
     def is_zero(self):
         return not self.terms

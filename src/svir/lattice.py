@@ -12,7 +12,6 @@ IndexVector object per value, so equality and hashing are identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import floor, prod
@@ -28,21 +27,15 @@ class Parity(Enum):
         return Parity.EVEN if self is other else Parity.ODD
 
 
-class _Interned:
-    """Base of the interned symbol classes: one object per value in the
-    process, so == and hash are identity, and the fields (the slots) cannot
-    be assigned.  A subclass's __new__ looks its key up in its own table
-    and, on a miss, validates and calls _intern.  The tables are
-    process-wide, append-only and unlocked; they serve one thread."""
+class _Frozen:
+    """Base of the immutable value classes: the fields are the slots, set
+    once by _set and never assigned after, and the repr lists them."""
 
     __slots__ = ()
 
-    @classmethod
-    def _intern(cls, table, key, *fields):
-        self = table[key] = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
-        return self
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -52,6 +45,22 @@ class _Interned:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+class _Interned(_Frozen):
+    """Base of the interned symbol classes: one object per value in the
+    process, so == and hash are identity.  A subclass's __new__ looks its
+    key up in its own table and, on a miss, validates and calls _intern.
+    The tables are process-wide, append-only and unlocked; they serve one
+    thread."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _intern(cls, table, key, *fields):
+        self = table[key] = object.__new__(cls)
+        self._set(*fields)
+        return self
 
 
 _INDEXES = {}   # (twice, parity is ODD) -> IndexVector
@@ -191,20 +200,27 @@ class AlgebraConfig:
 # Integer bases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(_Frozen):
     """n x n integer matrix; row i holds the coordinates of the i-th basis
-    vector relative to the reference basis."""
+    vector relative to the reference basis.  Equal rows, equal bases."""
 
-    rows: tuple
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        n = len(self.rows)
-        if any(len(row) != n for row in self.rows):
+    def __init__(self, rows):
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise InputError("basis matrix must be square")
-        if any(as_fraction(x).denominator != 1 for row in self.rows for x in row):
-            raise InputError(f"basis entries must be integers, got {self}")
-        object.__setattr__(self, "rows", tuple(tuple(int(x) for x in row) for row in self.rows))
+        if any(as_fraction(x).denominator != 1 for row in rows for x in row):
+            raise InputError(f"basis entries must be integers, got {_matrix_literal(rows)}")
+        self._set(tuple(tuple(int(x) for x in row) for row in rows))
+
+    def __eq__(self, other):
+        if type(other) is not LatticeBasis:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
 
     @property
     def n(self):
@@ -218,21 +234,23 @@ class LatticeBasis:
         return IndexVector(tuple(2 * x for x in self.rows[i]), Parity.EVEN)
 
     def __str__(self):
-        return "[" + ",".join("[" + ",".join(str(x) for x in r) + "]" for r in self.rows) + "]"
+        return _matrix_literal(self.rows)
 
 
-@dataclass(frozen=True)
-class ConeSpec:
+def _matrix_literal(rows):
+    return "[" + ",".join("[" + ",".join(str(x) for x in r) + "]" for r in rows) + "]"
+
+
+class ConeSpec(_Frozen):
     """All vectors whose coordinates in `basis` are >= k (even: integers,
     odd: half-integers)."""
 
-    basis: LatticeBasis
-    k: int
-    parity: Parity
+    __slots__ = ("basis", "k", "parity")
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, basis: LatticeBasis, k: int, parity: Parity):
+        if k < 0:
             raise InputError("cone level k must be nonnegative")
+        self._set(basis, k, parity)
 
 
 def unimodular_det(basis: LatticeBasis) -> int:
@@ -346,16 +364,18 @@ def cone_inclusion_check(k, bprime: LatticeBasis) -> tuple:
                  for i, row in enumerate(bprime.rows) if min(row) < k)
 
 
-@dataclass(frozen=True)
-class AdaptedBasis:
+class AdaptedBasis(_Frozen):
     """Unimodular basis assembled from integer multiples of a vector mu plus
     unit steps, together with the normalization bookkeeping."""
 
-    basis: LatticeBasis
-    case: str                 # "two_nonzero" or "some_zero"
-    sign_flips: tuple         # +1/-1 per coordinate making mu nonnegative
-    permutation: tuple        # slot i was filled from original coordinate permutation[i]
-    chains: tuple             # (step, copies) per row: row = (copies + 1)*mu + step
+    __slots__ = ("basis",        # a LatticeBasis
+                 "case",         # "two_nonzero" or "some_zero"
+                 "sign_flips",   # +1/-1 per coordinate making mu nonnegative
+                 "permutation",  # slot i was filled from original coordinate permutation[i]
+                 "chains")       # (step, copies) per row: row = (copies + 1)*mu + step
+
+    def __init__(self, basis, case, sign_flips, permutation, chains):
+        self._set(basis, case, sign_flips, permutation, chains)
 
 
 def adapted_cone_basis(mu: IndexVector) -> AdaptedBasis:

@@ -31,14 +31,14 @@ and are reported as box-level evidence only, never as proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import BasisElt, Kind, SuperVirasoro
-from .formal import FormalSum
+from .formal import FormalSum, bilinear_terms
 from .lattice import (AlgebraConfig, ConeSpec, IndexVector, LatticeBasis, Parity,
-                      _Interned, cone_member, unimodular_det)
+                      _Frozen, _Interned, cone_member, unimodular_det)
 from .scalar import InputError, ScalarExpr, as_fraction
 
 
@@ -85,19 +85,18 @@ class ModuleVector(FormalSum):
     """Finite formal sum of module basis vectors."""
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(_Frozen):
     """Truncation box: all indices with every |coordinate| <= radius."""
 
-    radius: Fraction
+    __slots__ = ("radius",)
 
-    def __post_init__(self):
-        radius = as_fraction(self.radius)
+    def __init__(self, radius):
+        radius = as_fraction(radius)
         if radius < 1:
             raise InputError("the box radius must be at least 1")
         if (2 * radius).denominator != 1:
             raise InputError("the box radius must be a half-integer")
-        object.__setattr__(self, "radius", radius)
+        self._set(radius)
 
     def contains(self, v: IndexVector) -> bool:
         return all(abs(t) <= 2 * self.radius for t in v.twice)
@@ -138,6 +137,13 @@ class SeriesModule:
             self._check_vector(v)
             return ModuleVector({v: self.config.ctx.one})
         raise TypeError(f"cannot coerce {v!r} to a module vector")
+
+    def _terms(self, v):
+        """The terms of v, without wrapping a basis vector."""
+        if isinstance(v, ModuleBasisVector):
+            self._check_vector(v)
+            return ((v, self.config.ctx.one),)
+        return self.vector(v).items()
 
     def basis_in_box(self, box: BoxSpec):
         """All basis vectors with index inside the box, x's first, lex order."""
@@ -221,6 +227,9 @@ class SeriesModule:
 
     def act(self, g, v) -> ModuleVector:
         """Bilinear extension of the basis action."""
+        if isinstance(g, BasisElt) and isinstance(v, ModuleBasisVector):
+            self._check_vector(v)
+            return self.act_basis(g, v)
         return ModuleVector.bilinear(self.algebra.element(g), self.vector(v),
                                      self.act_basis)
 
@@ -230,16 +239,17 @@ class SeriesModule:
         Returns act([u,w], v) - act(u, act(w, v))
         + (-1)^{|u||w|} act(w, act(u, v)); zero certifies the axiom.
         """
-        u = self.algebra.element(u)
-        w = self.algebra.element(w)
-        v = self.vector(v)
-        pu, pw = u.parity(), w.parity()
+        us, pu = self.algebra.homogeneous_terms(u)
+        ws, pw = self.algebra.homogeneous_terms(w)
+        vs = self._terms(v)
         if pu is None or pw is None:
             raise InputError("the module axiom check needs homogeneous generators")
-        cross = self.act(w, self.act(u, v))
-        return ModuleVector.sum((self.act(self.algebra.bracket(u, w), v),
-                                 -self.act(u, self.act(w, v)),
-                                 -cross if pu and pw else cross))
+        uw, wv, uv = self.algebra.bracket(u, w), self.act(w, v), self.act(u, v)
+        ab = self.act_basis
+        return ModuleVector.from_terms(chain(
+            bilinear_terms(uw.items(), vs, ab),
+            bilinear_terms(us, wv.items(), ab, negate=True),
+            bilinear_terms(ws, uv.items(), ab, negate=bool(pu and pw))))
 
     def weight_of(self, v: ModuleBasisVector) -> ScalarExpr:
         """Eigenvalue of L_0 on v."""

@@ -418,6 +418,24 @@ def _trim(exps):
     return tuple(exps[:n])
 
 
+def _linear_root(p):
+    """The monic linear l with l ** k == p for k the total degree of p, or None.
+
+    If p = l ** k with l = v + r, v the lex-leading variable of l, then the
+    coefficient of v ** (k - 1) in p is k * r; the candidate is confirmed by
+    expanding it.
+    """
+    k = _total_degree(p)
+    lead = max(p.terms)
+    v = next(i for i, e in enumerate(lead) if e)
+    if lead[v] != k:
+        return None
+    root = PolyExact.variable(v, len(lead)).add(_coeff_in(p, v, k - 1).scale(Fraction(1, k)))
+    if _total_degree(root) != 1 or _poly_pow(root, k) != p:
+        return None
+    return root
+
+
 def _divide_out(f, factor, limit):
     """Divide f by factor while it divides, at most limit times: (quotient, times)."""
     times = 0
@@ -512,8 +530,9 @@ class ScalarContext:
     def _intern(self, poly):
         """The interned denominator equal to the monic polynomial poly.
 
-        A new one is trial-divided by the base once; a linear cofactor joins
-        the base, and any other becomes its rest.
+        A new one is trial-divided by the base once.  A cofactor that is a
+        power l ** k of a linear l puts l in the base with exponent k, and
+        any other becomes its rest.
         """
         den = self._by_poly.get(poly)
         if den is None:
@@ -522,11 +541,13 @@ class ScalarContext:
                 cofactor, e = _divide_out(cofactor, factor, _total_degree(cofactor))
                 exps.append(e)
             degree, rest = _total_degree(cofactor), None
-            if degree == 1:
-                self._base.append(cofactor)
-                exps.append(1)
-            elif degree > 1:
-                rest = cofactor
+            if degree:
+                root = cofactor if degree == 1 else _linear_root(cofactor)
+                if root is None:
+                    rest = cofactor
+                else:
+                    self._base.append(root)
+                    exps.append(degree)
             den = self._new_den(poly, _trim(exps), rest)
         return den
 

@@ -98,8 +98,15 @@ def test_jacobi_residual_zero_except_on_characterized_triples(cfg, sv):
 
 def test_jacobi_requires_homogeneous_inputs(cfg, sv):
     mixed = sv.element(sv.L((1, 0))) + sv.element(sv.G((HALF, 0)))
-    with pytest.raises(InputError, match="homogeneous inputs"):
-        sv.super_jacobi_residual(mixed, sv.L((0, 1)), sv.L((1, 1)))
+    for args in [(mixed, sv.L((0, 1)), sv.L((1, 1))), (sv.L((0, 1)), mixed, sv.L((1, 1))),
+                 (sv.L((0, 1)), sv.L((1, 1)), mixed)]:
+        with pytest.raises(InputError, match="homogeneous inputs"):
+            sv.super_jacobi_residual(*args)
+
+
+def test_bracket_of_two_basis_elements_is_the_cached_image(sv):
+    x, y = sv.G((HALF, 0)), sv.G((-HALF, 0))
+    assert sv.bracket(x, y) is sv.bracket_basis(x, y)
 
 
 def test_graded_antisymmetry_and_weight_additivity_box(cfg, sv):
@@ -299,3 +306,76 @@ def test_bracket_and_act_accumulate_like_a_plain_dict(x_items, y_items, v_items)
         assert not any(c.is_zero() for c in out.terms.values())
         assert (out - out).is_zero()
     assert (x - x).is_zero() and (v - v).is_zero()
+
+
+# -- residuals against a plain-dict reference ----------------------------------
+
+_EVEN = [g for g in _GENERATORS if g.parity == 0]
+_ODD = [g for g in _GENERATORS if g.parity == 1]
+
+
+@st.composite
+def _homogeneous(draw, cls=AlgebraElement):
+    """(argument, its raw terms, its parity): a bare basis element or a sum of
+    1-4 terms of one parity, whose terms may cancel down to zero."""
+    parity = draw(st.sampled_from((0, 1)))
+    pool = _ODD if parity else _EVEN
+    if draw(st.booleans()):
+        sym = draw(st.sampled_from(pool))
+        return sym, [(sym, 1)], parity
+    items = draw(_raw_terms(pool))
+    return _build(cls, items), items, parity
+
+
+@st.composite
+def _module_vector(draw):
+    if draw(st.booleans()):
+        sym = draw(st.sampled_from(_VECTORS))
+        return sym, [(sym, 1)]
+    items = draw(_raw_terms(_VECTORS))
+    return _build(ModuleVector, items), items
+
+
+def _pairs(terms):
+    """A raw term list, or the items of a reference dict."""
+    return terms.items() if isinstance(terms, dict) else terms
+
+
+def _combine(*signed):
+    """sign * terms summed in a plain dict, zeros dropped."""
+    out = {}
+    for sign, terms in signed:
+        for sym, c in terms.items():
+            out[sym] = out.get(sym, _CFG.ctx.zero) + c * sign
+    return {sym: c for sym, c in out.items() if not c.is_zero()}
+
+
+@given(_homogeneous(), _homogeneous(), _homogeneous())
+@settings(max_examples=60, deadline=None)
+def test_jacobi_residual_matches_a_plain_dict(xd, yd, zd):
+    (x, xi, px), (y, yi, py), (z, zi, _) = xd, yd, zd
+
+    def br(a, b):
+        return _reference(_pairs(a), _pairs(b), _SA.algebra.bracket_basis)
+
+    ref = _combine((1, br(xi, br(yi, zi))), (-1, br(br(xi, yi), zi)),
+                   (1 if px and py else -1, br(yi, br(xi, zi))))
+    out = _SA.algebra.super_jacobi_residual(x, y, z)
+    assert out.terms == ref
+    assert not any(c.is_zero() for c in out.terms.values())
+
+
+@given(_homogeneous(), _homogeneous(), _module_vector())
+@settings(max_examples=60, deadline=None)
+def test_rep_residual_matches_a_plain_dict(ud, wd, vd):
+    (u, ui, pu), (w, wi, pw), (v, vi) = ud, wd, vd
+
+    def act(g, vec):
+        return _reference(_pairs(g), _pairs(vec), _SA.act_basis)
+
+    uw = _reference(ui, wi, _SA.algebra.bracket_basis)
+    ref = _combine((1, act(uw, vi)), (-1, act(ui, act(wi, vi))),
+                   (-1 if pu and pw else 1, act(wi, act(ui, vi))))
+    out = _SA.rep_residual(u, w, v)
+    assert out.terms == ref
+    assert not any(c.is_zero() for c in out.terms.values())

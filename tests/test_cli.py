@@ -243,8 +243,9 @@ def test_config_file(tmp_path):
 
 
 def test_linear_parameter_denominators_need_no_gcd(tmp_path, monkeypatch):
-    """Every denominator of this run is a product of powers of a + 1 and
-    b + 4, so trial division by them cancels everything."""
+    """Every denominator of these runs is a product of powers of a + 1 and
+    b + 4, so trial division by them cancels everything, also when
+    (a + 1)^2 is met before a + 1."""
     import svir.scalar
 
     calls = []
@@ -256,11 +257,12 @@ def test_linear_parameter_denominators_need_no_gcd(tmp_path, monkeypatch):
 
     monkeypatch.setattr(svir.scalar, "poly_gcd", counted)
     config = tmp_path / "session.json"
-    config.write_text(json.dumps({"params": {"a": "1/(a+1)", "b": "7/(b+4)"}}))
-    code, report = run(tmp_path, "--config", str(config), "rep-fuzz", "--family", "SA",
-                       "--radius", "1/2", "--vector-radius", "1")
-    assert code == 0 and report["passed"] is True
-    assert calls == []
+    for a in ("1/(a+1)", "1/(a+1)^2"):
+        config.write_text(json.dumps({"params": {"a": a, "b": "7/(b+4)"}}))
+        code, report = run(tmp_path, "--config", str(config), "rep-fuzz", "--family", "SA",
+                           "--radius", "1/2", "--vector-radius", "1")
+        assert code == 0 and report["passed"] is True
+        assert calls == [], a
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -589,3 +591,14 @@ def test_closed_stdout_keeps_the_verdict(tmp_path, argv, verdict):
     assert proc.returncode == verdict
     assert proc.stderr == b""  # no traceback and no "Exception ignored" line
     assert (tmp_path / "report.json").exists()
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # each of these is compiled again on every run when bytecode writing is off
+    env = dict(os.environ, PYTHONPATH=str(Path(svir.__file__).parents[1]))
+    probe = ("import sys, svir.cli; "
+             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -91,6 +91,18 @@ def test_rep_residual_rejects_mixed_parity(cfg, sa, sv):
         sa.rep_residual(mixed, sv.L((0, 0)), sa.x((0, 0)))
 
 
+def test_basis_arguments_are_checked_without_being_wrapped(sa, sv):
+    mixed = sv.element(sv.L((1, 0))) + sv.element(sv.G((HALF, 0)))
+    with pytest.raises(InputError, match="homogeneous generators"):
+        sa.rep_residual(sv.L((0, 0)), mixed, sa.x((0, 0)))
+    misplaced = ModuleBasisVector("x", sa.y((HALF, 0)).index)
+    with pytest.raises(InputError, match="x carries even indices in SA"):
+        sa.rep_residual(sv.L((0, 0)), sv.L((1, 0)), misplaced)
+    with pytest.raises(InputError, match="x carries even indices in SA"):
+        sa.act(sv.L((1, 0)), misplaced)
+    assert sa.act(sv.L((1, 0)), sa.x((0, 0))) is sa.act_basis(sv.L((1, 0)), sa.x((0, 0)))
+
+
 def test_weights(cfg, sa, sa_prime, sb_prime):
     a, d1, d2 = cfg.var("a"), cfg.var("d1"), cfg.var("d2")
     assert sa.weight_of(sa.x((1, -1))) == a + d1 - d2

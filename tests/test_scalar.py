@@ -398,7 +398,7 @@ def test_constants_hash_as_their_value(ctx):
 def test_repeated_factors_cancel_completely():
     ctx = ScalarContext(NAMES)
     a, d1 = ctx.var("a"), ctx.var("d1")
-    inverse = 1 / (a + 1)    # a + 1 joins the base; its cube alone would not
+    inverse = 1 / (a + 1)    # a + 1 joins the base
     x = (d1 - 2) * inverse ** 3
     assert x == (d1 - 2) / (a + 1) ** 3 and x.den.exps == (3,)
     assert x * (a + 1) ** 2 == (d1 - 2) * inverse
@@ -417,6 +417,41 @@ def test_a_cofactor_may_hide_a_later_base_factor():
     assert hidden * (a + 1) == third and (hidden * (a + 1)).den is third.den
     assert hidden + 1 / (a + 1) == (b + 4) / ((a + 1) * (b + 3))
     assert 1 / (a + 1) ** 2 - hidden * (b + 3) / (a + 1) == 0
+
+
+def test_a_power_of_a_new_linear_factor_joins_the_base():
+    ctx = ScalarContext(NAMES)
+    a, b, d1 = ctx.var("a"), ctx.var("b"), ctx.var("d1")
+    x = (d1 + 1) / (a + 1) ** 2      # (a + 1)^2 is met before a + 1
+    assert x.den.rest is None and x.den.exps == (2,) and ctx._base == [(a + 1).num]
+    assert x * (a + 1) == (d1 + 1) / (a + 1) and (x * (a + 1) ** 2).den is ctx._poly_one
+    y = 5 / (2 * d1 - b + 3) ** 3    # the base holds the monic d1 - b/2 + 3/2
+    assert y.den.rest is None and y.den.exps == (0, 3)
+    assert ctx._base[1] == (d1 - b / 2 + Fraction(3, 2)).num
+    assert y * (2 * d1 - b + 3) ** 3 == 5
+
+
+def test_a_cofactor_that_is_not_a_linear_power_stays_the_rest():
+    for build in (lambda a, b, d1: a ** 2 + 1,
+                  lambda a, b, d1: (a + 1) ** 2 * (b + 3),
+                  lambda a, b, d1: (a + 1) * (a + 2),
+                  lambda a, b, d1: (d1 + a) ** 2 + 1):
+        ctx = ScalarContext(NAMES)
+        poly = build(ctx.var("a"), ctx.var("b"), ctx.var("d1"))
+        x = 1 / poly
+        assert x.den.rest is not None and ctx._base == []
+        assert x * poly == 1
+
+
+@given(st.lists(st.integers(-3, 3), min_size=len(NAMES), max_size=len(NAMES)).filter(any),
+       st.integers(-4, 4), st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_any_power_of_a_linear_polynomial_is_split(coeffs, const, k):
+    ctx = ScalarContext(NAMES)
+    root = sum((c * ctx.var(n) for c, n in zip(coeffs, NAMES) if c), ctx.scalar(const))
+    x = 1 / root ** k
+    assert x.den.rest is None and len(ctx._base) == 1 and x.den.exps == (k,)
+    assert x * root ** k == 1 and x * root ** (k - 1) == 1 / root
 
 
 def test_scalars_of_two_contexts_do_not_mix():
