@@ -18,77 +18,21 @@ the residual is reported verbatim; signs are never adjusted silently.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from itertools import chain
 
-from .formal import FormalSum, bilinear_terms
-from .lattice import (AlgebraConfig, IndexVector, Parity, _Frozen, _Interned,
-                      adapted_cone_basis)
+from .formal import FormalSum, Symbol, bilinear_terms
+from .lattice import EVEN, AlgebraConfig, IndexVector, _Frozen, adapted_cone_basis
 from .scalar import InputError, ScalarExpr
 
-
-class Kind(Enum):
-    L = "L"
-    G = "G"
-    C = "c"
-
-
-_KIND_RANK = {Kind.L: 0, Kind.G: 1, Kind.C: 2}
-
-
-_BASIS = {}   # (kind.value, index) -> BasisElt
-
-
-class BasisElt(_Interned):
-    """L_mu, G_eta or the central element c.  Interned: one object per value."""
-
-    __slots__ = ("kind", "index")
-
-    def __new__(cls, kind, index):
-        key = (kind._value_, index)
-        self = _BASIS.get(key)
-        if self is None:
-            if kind is Kind.C:
-                if index is not None:
-                    raise InputError("the central element carries no index")
-            elif kind is Kind.L:
-                if index is None or index.parity is not Parity.EVEN:
-                    raise InputError("L requires an even index")
-            else:
-                if index is None or index.parity is not Parity.ODD:
-                    raise InputError("G requires an odd index")
-            self = cls._intern(_BASIS, key, kind, index)
-        return self
-
-    @property
-    def parity(self) -> int:
-        return 1 if self.kind is Kind.G else 0
-
-    def sort_key(self):
-        return (_KIND_RANK[self.kind],
-                self.index.twice if self.index is not None else ())
-
-    def __str__(self):
-        if self.kind is Kind.C:
-            return "c"
-        return f"{self.kind.value}{self.index}"
-
-
-CENTRAL = BasisElt(Kind.C, None)
+CENTRAL = Symbol("c", None)
 
 
 class AlgebraElement(FormalSum):
-    """Finite formal sum of basis elements with scalar coefficients."""
+    """Finite formal sum of L's, G's and c with scalar coefficients."""
 
-    def parity(self):
-        """0 or 1 for homogeneous elements (zero counts as even), else None."""
-        parities = {sym.parity for sym in self.terms}
-        if not parities:
-            return 0
-        if len(parities) > 1:
-            return None
-        return parities.pop()
+    letters = "LGc"
+    noun = "an algebra element"
 
 
 class SuperVirasoro:
@@ -103,30 +47,18 @@ class SuperVirasoro:
 
     # -- element builders ------------------------------------------------------
 
-    def L(self, coords) -> BasisElt:
-        return BasisElt(Kind.L, self.config.even(coords))
+    def L(self, coords) -> Symbol:
+        return Symbol("L", self.config.even(coords))
 
-    def G(self, coords) -> BasisElt:
-        return BasisElt(Kind.G, self.config.odd(coords))
+    def G(self, coords) -> Symbol:
+        return Symbol("G", self.config.odd(coords))
 
     def element(self, x) -> AlgebraElement:
-        if isinstance(x, AlgebraElement):
-            return x
-        if isinstance(x, BasisElt):
-            return AlgebraElement({x: self.config.ctx.one})
-        raise TypeError(f"cannot coerce {x!r} to an algebra element")
-
-    def homogeneous_terms(self, x):
-        """(terms of x, parity of x) without wrapping a basis element; the
-        parity is None when x mixes parities."""
-        if isinstance(x, BasisElt):
-            return ((x, self.config.ctx.one),), x.parity
-        x = self.element(x)
-        return x.items(), x.parity()
+        return AlgebraElement.of(x, self.config.ctx.one)
 
     # -- the bracket -----------------------------------------------------------
 
-    def bracket_basis(self, x: BasisElt, y: BasisElt) -> AlgebraElement:
+    def bracket_basis(self, x: Symbol, y: Symbol) -> AlgebraElement:
         """Bracket of two basis elements, straight from the defining table."""
         key = (x, y)
         cached = self._pair_cache.get(key)
@@ -137,35 +69,35 @@ class SuperVirasoro:
 
     def _bracket_basis(self, x, y):
         cfg = self.config
-        if x.kind is Kind.C or y.kind is Kind.C:
+        if x.letter == "c" or y.letter == "c":
             return AlgebraElement({})
         embed = cfg.embed
         terms = {}
-        if x.kind is Kind.L and y.kind is Kind.L:
+        if x.letter == "L" and y.letter == "L":
             mu, nu = x.index, y.index
             coeff = embed(nu) - embed(mu)
             total = mu + nu
             if not coeff.is_zero():
-                terms[BasisElt(Kind.L, total)] = coeff
+                terms[Symbol("L", total)] = coeff
             if total.is_zero():
                 e = embed(mu)
                 central = -(e ** 3 - e) * Fraction(1, 12)
                 if not central.is_zero():
                     terms[CENTRAL] = central
-        elif x.kind is Kind.L and y.kind is Kind.G:
+        elif x.letter == "L" and y.letter == "G":
             mu, eta = x.index, y.index
             coeff = embed(eta) - embed(mu) * Fraction(1, 2)
             if not coeff.is_zero():
-                terms[BasisElt(Kind.G, mu + eta)] = coeff
-        elif x.kind is Kind.G and y.kind is Kind.L:
+                terms[Symbol("G", mu + eta)] = coeff
+        elif x.letter == "G" and y.letter == "L":
             eta, mu = x.index, y.index
             coeff = embed(mu) * Fraction(1, 2) - embed(eta)
             if not coeff.is_zero():
-                terms[BasisElt(Kind.G, mu + eta)] = coeff
+                terms[Symbol("G", mu + eta)] = coeff
         else:
             eta, lam = x.index, y.index
             total = eta + lam
-            terms[BasisElt(Kind.L, total)] = cfg.scalar(2)
+            terms[Symbol("L", total)] = cfg.scalar(2)
             if total.is_zero():
                 e = embed(eta)
                 central = -(e ** 2 - Fraction(1, 4)) * Fraction(1, 3)
@@ -175,7 +107,7 @@ class SuperVirasoro:
 
     def bracket(self, x, y) -> AlgebraElement:
         """Bilinear extension of the basis bracket."""
-        if isinstance(x, BasisElt) and isinstance(y, BasisElt):
+        if AlgebraElement.owns(x) and AlgebraElement.owns(y):
             return self.bracket_basis(x, y)
         return AlgebraElement.bilinear(self.element(x), self.element(y),
                                        self.bracket_basis)
@@ -188,9 +120,10 @@ class SuperVirasoro:
         Returns [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]; zero
         certifies the identity on that triple.
         """
-        xs, px = self.homogeneous_terms(x)
-        ys, py = self.homogeneous_terms(y)
-        zs, pz = self.homogeneous_terms(z)
+        one = self.config.ctx.one
+        xs, px = AlgebraElement.homogeneous(x, one)
+        ys, py = AlgebraElement.homogeneous(y, one)
+        zs, pz = AlgebraElement.homogeneous(z, one)
         if px is None or py is None or pz is None:
             raise InputError("the Jacobi residual needs homogeneous inputs")
         yz, xy, xz = self.bracket(y, z), self.bracket(x, y), self.bracket(x, z)
@@ -219,21 +152,21 @@ class SuperVirasoro:
         """
         if m < 1:
             raise InputError("m must be positive")
-        if d.parity is not Parity.EVEN:
+        if d.parity != EVEN:
             raise InputError("the ladder steps by an even index")
-        if mu.parity is not Parity.EVEN:
+        if mu.parity != EVEN:
             raise InputError("mu must be an even index")
         cfg = self.config
         e_d = cfg.embed(d)
         eta0 = cfg.sigma_index + mu
-        l_d = BasisElt(Kind.L, d)
+        l_d = Symbol("L", d)
         steps = range(-1, m - 1)
         message = "a ladder factor vanishes for this degenerate specialization"
         _, ok_l = self._scaled_power_check(
-            l_d, BasisElt(Kind.L, mu), BasisElt(Kind.L, mu + d.scale(m)),
+            l_d, Symbol("L", mu), Symbol("L", mu + d.scale(m)),
             [cfg.embed(mu) + e_d * i for i in steps], message)
         _, ok_g = self._scaled_power_check(
-            l_d, BasisElt(Kind.G, eta0), BasisElt(Kind.G, eta0 + d.scale(m)),
+            l_d, Symbol("G", eta0), Symbol("G", eta0 + d.scale(m)),
             [cfg.embed(eta0) + e_d * Fraction(2 * i + 1, 2) for i in steps], message)
         return ok_l and ok_g
 
@@ -263,13 +196,13 @@ class SuperVirasoro:
         cfg = self.config
         adapted = adapted_cone_basis(mu)
         e_mu = cfg.embed(mu)
-        l_mu = BasisElt(Kind.L, mu)
+        l_mu = Symbol("L", mu)
         entries = []
         for row, (step, copies) in enumerate(adapted.chains):
             start = mu + step
             e_step = cfg.embed(step)
             product, bracket_ok = self._scaled_power_check(
-                l_mu, BasisElt(Kind.L, start), BasisElt(Kind.L, adapted.basis.row_vector(row)),
+                l_mu, Symbol("L", start), Symbol("L", adapted.basis.row_vector(row)),
                 [e_mu * t + e_step for t in range(copies)],
                 "a witness product factor vanished")
             in_a = all(abs(t) <= 2 for t in step.twice)

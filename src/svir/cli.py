@@ -19,9 +19,10 @@ import os
 import sys
 from decimal import Decimal
 
-from .algebra import AlgebraElement, BasisElt, CENTRAL, Kind, SuperVirasoro
-from .lattice import (AlgebraConfig, LatticeBasis, Parity, cone_inclusion_check,
-                      iso_check, nested_cone_basis, unimodular_det)
+from .algebra import AlgebraElement, CENTRAL, SuperVirasoro
+from .formal import Symbol
+from .lattice import (EVEN, ODD, PARITY_NAMES, AlgebraConfig, LatticeBasis,
+                      cone_inclusion_check, iso_check, nested_cone_basis, unimodular_det)
 from .parse import (parse_element, parse_index, parse_rational,
                     parse_rational_matrix, parse_rational_vector, parse_scalar)
 from .repmod import BoxSpec, Family, ModuleVector, SeriesModule
@@ -109,15 +110,14 @@ class Session:
 
 def _basis_elements(config, radius):
     """Even, odd and central basis elements inside the box, in fixed order."""
-    return tuple(BasisElt(kind, v)
-                 for kind, parity in ((Kind.L, Parity.EVEN), (Kind.G, Parity.ODD))
+    return tuple(Symbol(letter, v) for letter, parity in (("L", EVEN), ("G", ODD))
                  for v in config.box(radius, parity)) + (CENTRAL,)
 
 
 def _box_size(config, radius):
     """Indices of both parities inside the box, counted without enumerating
     them: the basis vectors of any module, and with c the basis elements."""
-    return config.box_size(radius, Parity.EVEN) + config.box_size(radius, Parity.ODD)
+    return config.box_size(radius, EVEN) + config.box_size(radius, ODD)
 
 
 def _limit_checks(checks):
@@ -362,7 +362,7 @@ def cmd_quotient(session, args):
     rows = module.quotient_dims(sub, box)
     results = [{"check": "quotient_dims", "status": "info",
                 "submodule": sorted(str(b) for b in sub),
-                "table": [{"weight": str(module.weight_of(v)), "parity": v.index.parity.value,
+                "table": [{"weight": str(module.weight_of(v)), "parity": PARITY_NAMES[v.parity],
                            "vector": str(v), "in_submodule": dim == 0, "dim": dim}
                           for v, dim in rows]}]
     removed = sum(1 for _, dim in rows if dim == 0)

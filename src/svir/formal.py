@@ -1,8 +1,49 @@
-"""Finite formal sums of basis symbols with scalar coefficients."""
+"""Basis symbols, and finite formal sums of them with scalar coefficients."""
 
 from __future__ import annotations
 
-from .scalar import ScalarExpr, signed_sum
+from itertools import chain
+
+from .lattice import EVEN, ODD, _Interned
+from .scalar import InputError, ScalarExpr, signed_sum
+
+# every basis symbol's letter, in the order the reports sort them
+LETTERS = "LGcxy"
+
+_SYMBOLS = {}   # (letter, index) -> Symbol
+
+
+class Symbol(_Interned):
+    """A basis symbol: L, G, x or y with its index, or the central element c
+    (index None).  Its parity is its index's bit, and c is even.  Interned:
+    one object per value."""
+
+    __slots__ = ("letter", "index", "parity")
+
+    def __new__(cls, letter, index):
+        key = (letter, index)
+        self = _SYMBOLS.get(key)
+        if self is None:
+            if letter == "c":
+                if index is not None:
+                    raise InputError("the central element carries no index")
+            elif letter == "L":
+                if index is None or index.parity != EVEN:
+                    raise InputError("L requires an even index")
+            elif letter == "G":
+                if index is None or index.parity != ODD:
+                    raise InputError("G requires an odd index")
+            elif letter not in ("x", "y"):
+                raise InputError("module basis symbols are x and y")
+            parity = EVEN if index is None else index.parity
+            self = cls._intern(_SYMBOLS, key, letter, index, parity)
+        return self
+
+    def sort_key(self):
+        return (LETTERS.index(self.letter), () if self.index is None else self.index.twice)
+
+    def __str__(self):
+        return self.letter if self.index is None else f"{self.letter}{self.index}"
 
 
 def _merge(terms, items):
@@ -32,7 +73,8 @@ def bilinear_terms(xs, ys, basis_map, negate=False):
 class FormalSum:
     """Immutable linear combination: basis symbol -> nonzero ScalarExpr.
 
-    Subclasses fix the symbol type and printing; the arithmetic is shared.
+    Subclasses set ``letters``, the letters of their symbols, and ``noun``,
+    what the messages call them; the arithmetic is shared.
     """
 
     __slots__ = ("terms",)
@@ -45,21 +87,31 @@ class FormalSum:
         return cls(_merge({}, items))
 
     @classmethod
-    def sum(cls, parts):
-        """Sum of formal sums; a lone nonzero part is returned as it is."""
-        first = terms = None
-        for part in parts:
-            if not part.terms:
-                continue
-            if first is None:
-                first = part
-                continue
-            if terms is None:
-                terms = dict(first.terms)
-            _merge(terms, part.terms.items())
-        if terms is not None:
-            return cls(terms)
-        return cls({}) if first is None else first
+    def owns(cls, x):
+        """Is x a bare symbol with one of this class's letters?"""
+        return type(x) is Symbol and x.letter in cls.letters
+
+    @classmethod
+    def of(cls, x, one):
+        """x itself, or a symbol of this class with coefficient one; anything
+        else is a TypeError."""
+        if isinstance(x, cls):
+            return x
+        if cls.owns(x):
+            return cls({x: one})
+        raise TypeError(f"cannot coerce {x!r} to {cls.noun}")
+
+    @classmethod
+    def homogeneous(cls, x, one):
+        """(terms of x, parity of x) without wrapping a symbol, coerced as by
+        of; the parity is None when x mixes parities, and zero is even."""
+        if cls.owns(x):
+            return ((x, one),), x.parity
+        terms = cls.of(x, one).terms
+        parities = {sym.parity for sym in terms}
+        if len(parities) > 1:
+            return terms.items(), None
+        return terms.items(), parities.pop() if parities else EVEN
 
     @classmethod
     def bilinear(cls, x, y, basis_map):
@@ -76,13 +128,13 @@ class FormalSum:
         return self.terms.get(sym, default)
 
     def __add__(self, other):
-        return type(self).sum((self, other))
+        return type(self).from_terms(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
         return type(self)({sym: -coeff for sym, coeff in self.terms.items()})
 
     def __sub__(self, other):
-        return type(self).sum((self, -other))
+        return self + (-other)
 
     def scale(self, coeff: ScalarExpr):
         if coeff.is_zero():

@@ -12,19 +12,15 @@ IndexVector object per value, so equality and hashing are identity.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from fractions import Fraction
 from math import floor, prod
 
 from .scalar import InputError, ScalarContext, ScalarExpr, as_fraction
 
 
-class Parity(Enum):
-    EVEN = "even"
-    ODD = "odd"
-
-    def __add__(self, other):
-        return Parity.EVEN if self is other else Parity.ODD
+# an index's parity is one bit: 0 on the integer lattice, 1 on the coset
+EVEN, ODD = 0, 1
+PARITY_NAMES = ("even", "odd")
 
 
 class _Frozen:
@@ -63,18 +59,24 @@ class _Interned(_Frozen):
         return self
 
 
-_INDEXES = {}   # (twice, parity is ODD) -> IndexVector
+_INDEXES = {}   # (twice, parity) -> IndexVector
 
 
 class IndexVector(_Interned):
     """Index stored as twice its coordinates (ints on both cosets) and its
-    parity class.  Interned: one object per value."""
+    parity bit, EVEN or ODD.  Interned: one object per value.
+
+    The index protocol: the bracket and action tables, the symbols and
+    FormalSum use an index only through +, -, is_zero(), parity, twice
+    (to order symbols), str, hashing and config.embed.  Another index
+    type, such as a symbolic one, implements exactly that.
+    """
 
     __slots__ = ("twice", "parity")
     __hash__ = object.__hash__  # in the class dict, where bench/tracer.py wraps it
 
     def __new__(cls, twice, parity):
-        key = (twice, parity is Parity.ODD)
+        key = (twice, parity)
         self = _INDEXES.get(key)
         return cls._intern(_INDEXES, key, twice, parity) if self is None else self
 
@@ -84,7 +86,7 @@ class IndexVector(_Interned):
 
     def __add__(self, other):
         return IndexVector(tuple(a + b for a, b in zip(self.twice, other.twice)),
-                           self.parity + other.parity)
+                           self.parity ^ other.parity)
 
     def __neg__(self):
         return IndexVector(tuple(-a for a in self.twice), self.parity)
@@ -93,9 +95,9 @@ class IndexVector(_Interned):
         return self + (-other)
 
     def scale(self, m: int):
-        if self.parity is not Parity.EVEN:
+        if self.parity != EVEN:
             raise InputError("only even index vectors support integer scaling")
-        return IndexVector(tuple(a * m for a in self.twice), Parity.EVEN)
+        return IndexVector(tuple(a * m for a in self.twice), EVEN)
 
     def is_zero(self):
         return not any(self.twice)
@@ -128,7 +130,7 @@ class AlgebraConfig:
             raise InputError("2*sigma must be integral")
         self.n = n
         self.d_names = d_names
-        self.sigma_index = IndexVector(tuple(int(t) for t in twice), Parity.ODD)
+        self.sigma_index = IndexVector(tuple(int(t) for t in twice), ODD)
         self.ctx = ScalarContext(d_names + tuple(extra_names))
         self._embed_cache = {}
 
@@ -142,22 +144,21 @@ class AlgebraConfig:
         offset = self._offset(parity)
         if any((t - o) % 2 for t, o in zip(twice, offset)):
             raise InputError(
-                f"coordinates {_literal(coords)} are not in the {parity.value} class")
+                f"coordinates {_literal(coords)} are not in the {PARITY_NAMES[parity]} class")
         return IndexVector(tuple(int(t) for t in twice), parity)
 
     def _offset(self, parity):
         """Twice the coset offset of a parity class: 2*sigma or zero."""
-        return self.sigma_index.twice if parity is Parity.ODD else (0,) * self.n
+        return self.sigma_index.twice if parity == ODD else (0,) * self.n
 
     def even(self, coords) -> IndexVector:
-        return self.index(coords, Parity.EVEN)
+        return self.index(coords, EVEN)
 
     def odd(self, coords) -> IndexVector:
-        return self.index(coords, Parity.ODD)
+        return self.index(coords, ODD)
 
     def unit(self, i) -> IndexVector:
-        return IndexVector(tuple(2 if j == i else 0 for j in range(self.n)),
-                           Parity.EVEN)
+        return IndexVector(tuple(2 if j == i else 0 for j in range(self.n)), EVEN)
 
     # -- scalars -------------------------------------------------------------
 
@@ -231,7 +232,7 @@ class LatticeBasis(_Frozen):
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def row_vector(self, i) -> IndexVector:
-        return IndexVector(tuple(2 * x for x in self.rows[i]), Parity.EVEN)
+        return IndexVector(tuple(2 * x for x in self.rows[i]), EVEN)
 
     def __str__(self):
         return _matrix_literal(self.rows)
@@ -247,7 +248,7 @@ class ConeSpec(_Frozen):
 
     __slots__ = ("basis", "k", "parity")
 
-    def __init__(self, basis: LatticeBasis, k: int, parity: Parity):
+    def __init__(self, basis: LatticeBasis, k: int, parity: int):
         if k < 0:
             raise InputError("cone level k must be nonnegative")
         self._set(basis, k, parity)
@@ -318,7 +319,7 @@ def change_of_coords(v: IndexVector, bprime: LatticeBasis):
 
 def cone_member(v: IndexVector, cone: ConeSpec) -> bool:
     """Membership in the level-k cone of the cone's basis."""
-    if v.parity is not cone.parity:
+    if v.parity != cone.parity:
         raise InputError("vector parity does not match the cone parity")
     return all(c >= cone.k for c in change_of_coords(v, cone.basis))
 
@@ -388,7 +389,7 @@ def adapted_cone_basis(mu: IndexVector) -> AdaptedBasis:
     the second case.  Each row is recorded as a step, an even index with
     coordinates in {-1, 0, 1}, plus copies + 1 multiples of mu.
     """
-    if mu.parity is not Parity.EVEN:
+    if mu.parity != EVEN:
         raise InputError("the adapted basis is built from an even vector")
     n = len(mu.twice)
     if n < 2:
@@ -416,7 +417,7 @@ def adapted_cone_basis(mu: IndexVector) -> AdaptedBasis:
         d1 = unit(z, flips[z])
         chains = [(d1, 0)] + [(vadd(d1, unit(i, flips[i])), 0) for i in perm[1:]]
     rows = tuple(vadd([c * (copies + 1) for c in m], step) for step, copies in chains)
-    chains = tuple((IndexVector(tuple(2 * c for c in step), Parity.EVEN), copies)
+    chains = tuple((IndexVector(tuple(2 * c for c in step), EVEN), copies)
                    for step, copies in chains)
     return AdaptedBasis(LatticeBasis(rows), case, flips, perm, chains)
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import AlgebraElement, BasisElt, CENTRAL, Kind
-from .lattice import AlgebraConfig, Parity
-from .repmod import Family, ModuleBasisVector, ModuleVector
+from .algebra import AlgebraElement, CENTRAL
+from .formal import Symbol
+from .lattice import EVEN, ODD, AlgebraConfig
+from .repmod import Family, ModuleVector
 from .scalar import InputError, ScalarContext, ScalarExpr
 
 
@@ -70,9 +71,7 @@ def _tokenize(text):
 
 
 def _kind(value):
-    if isinstance(value, ScalarExpr):
-        return "a scalar"
-    return "an algebra element" if isinstance(value, AlgebraElement) else "a module vector"
+    return "a scalar" if isinstance(value, ScalarExpr) else value.noun
 
 
 class _Parser:
@@ -224,20 +223,18 @@ class _Parser:
         one = self.ctx.one
         if kind == "name":
             return AlgebraElement({CENTRAL: one})
-        symbol, body = value
-        if symbol in "LG":
-            parity = Parity.EVEN if symbol == "L" else Parity.ODD
+        letter, body = value
+        if letter in AlgebraElement.letters:
+            cls, parity = AlgebraElement, EVEN if letter == "L" else ODD
         elif self.family is None:
             raise self.error("module symbols need a module family", pos)
         else:
-            parity = self.family.parity(symbol)
+            cls, parity = ModuleVector, self.family.parity(letter)
         try:
             index = self.config.index([parse_rational(p) for p in body.split(",")], parity)
         except InputError as exc:
             raise self.error(str(exc), pos) from None
-        if symbol in "LG":
-            return AlgebraElement({BasisElt(Kind(symbol), index): one})
-        return ModuleVector({ModuleBasisVector(symbol, index): one})
+        return cls({Symbol(letter, index): one})
 
 
 def parse_scalar(ctx: ScalarContext, text: str) -> ScalarExpr:
@@ -310,7 +307,7 @@ def parse_rational_matrix(text: str):
     return tuple(parse_rational_vector(p.strip()) for p in _split_top_level(body))
 
 
-def parse_index(config: AlgebraConfig, text: str, parity: Parity = Parity.EVEN):
+def parse_index(config: AlgebraConfig, text: str, parity: int = EVEN):
     """Index literal ``[m1,m2,...]`` with half-integers written p/2."""
     coords = parse_rational_vector(text)
     try:

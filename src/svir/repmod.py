@@ -35,10 +35,10 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain
 
-from .algebra import BasisElt, Kind, SuperVirasoro
-from .formal import FormalSum, bilinear_terms
-from .lattice import (AlgebraConfig, ConeSpec, IndexVector, LatticeBasis, Parity,
-                      _Frozen, _Interned, cone_member, unimodular_det)
+from .algebra import AlgebraElement, SuperVirasoro
+from .formal import FormalSum, Symbol, bilinear_terms
+from .lattice import (EVEN, ODD, PARITY_NAMES, AlgebraConfig, ConeSpec, IndexVector,
+                      LatticeBasis, _Frozen, cone_member, unimodular_det)
 from .scalar import InputError, ScalarExpr, as_fraction
 
 
@@ -52,37 +52,16 @@ class Family(Enum):
         """The family's parameter names, in declaration order."""
         return ("a", "b") if self is Family.SA else ("a'",)
 
-    def parity(self, kind) -> Parity:
-        """Parity class of the indices of basis symbol ``kind``, "x" or "y"."""
-        return Parity.EVEN if (kind == "x") != (self is Family.SBPRIME) else Parity.ODD
-
-
-_VECTORS = {}   # (kind, index) -> ModuleBasisVector
-
-
-class ModuleBasisVector(_Interned):
-    """x or y basis symbol with its index.  Interned: one object per value."""
-
-    __slots__ = ("kind", "index")
-
-    def __new__(cls, kind, index):
-        key = (kind, index)
-        self = _VECTORS.get(key)
-        if self is None:
-            if kind not in ("x", "y"):
-                raise InputError("module basis symbols are x and y")
-            self = cls._intern(_VECTORS, key, kind, index)
-        return self
-
-    def sort_key(self):
-        return (self.kind, self.index.twice)
-
-    def __str__(self):
-        return f"{self.kind}{self.index}"
+    def parity(self, letter) -> int:
+        """The parity bit of the indices of basis symbol ``letter``, "x" or "y"."""
+        return EVEN if (letter == "x") != (self is Family.SBPRIME) else ODD
 
 
 class ModuleVector(FormalSum):
-    """Finite formal sum of module basis vectors."""
+    """Finite formal sum of the module basis vectors x and y."""
+
+    letters = "xy"
+    noun = "a module vector"
 
 
 class BoxSpec(_Frozen):
@@ -119,40 +98,31 @@ class SeriesModule:
 
     # -- basis vectors ---------------------------------------------------------
 
-    def x(self, coords) -> ModuleBasisVector:
-        return ModuleBasisVector("x", self.config.index(coords, self.family.parity("x")))
+    def x(self, coords) -> Symbol:
+        return Symbol("x", self.config.index(coords, self.family.parity("x")))
 
-    def y(self, coords) -> ModuleBasisVector:
-        return ModuleBasisVector("y", self.config.index(coords, self.family.parity("y")))
+    def y(self, coords) -> Symbol:
+        return Symbol("y", self.config.index(coords, self.family.parity("y")))
 
-    def _check_vector(self, v: ModuleBasisVector):
-        want = self.family.parity(v.kind)
-        if v.index.parity is not want:
-            raise InputError(f"{v.kind} carries {want.value} indices in {self.family.value}")
+    def _check_vector(self, v: Symbol):
+        want = self.family.parity(v.letter)
+        if v.parity != want:
+            raise InputError(f"{v.letter} carries {PARITY_NAMES[want]} indices "
+                             f"in {self.family.value}")
 
     def vector(self, v) -> ModuleVector:
-        if isinstance(v, ModuleVector):
-            return v
-        if isinstance(v, ModuleBasisVector):
+        if ModuleVector.owns(v):
             self._check_vector(v)
-            return ModuleVector({v: self.config.ctx.one})
-        raise TypeError(f"cannot coerce {v!r} to a module vector")
-
-    def _terms(self, v):
-        """The terms of v, without wrapping a basis vector."""
-        if isinstance(v, ModuleBasisVector):
-            self._check_vector(v)
-            return ((v, self.config.ctx.one),)
-        return self.vector(v).items()
+        return ModuleVector.of(v, self.config.ctx.one)
 
     def basis_in_box(self, box: BoxSpec):
         """All basis vectors with index inside the box, x's first, lex order."""
-        return tuple(ModuleBasisVector(kind, i) for kind in ("x", "y")
-                     for i in self.config.box(box.radius, self.family.parity(kind)))
+        return tuple(Symbol(letter, i) for letter in ModuleVector.letters
+                     for i in self.config.box(box.radius, self.family.parity(letter)))
 
     # -- the action -------------------------------------------------------------
 
-    def act_basis(self, g: BasisElt, v: ModuleBasisVector) -> ModuleVector:
+    def act_basis(self, g: Symbol, v: Symbol) -> ModuleVector:
         """Action of one generator on one basis vector, per the family table."""
         key = (g, v)
         cached = self._act_cache.get(key)
@@ -164,31 +134,31 @@ class SeriesModule:
     def _act_basis(self, g, v):
         self._check_vector(v)
         cfg = self.config
-        if g.kind is Kind.C:
+        if g.letter == "c":
             return ModuleVector({})
         embed = cfg.embed
         gi = g.index
         vi = v.index
         target = gi + vi
         # L keeps the symbol, G swaps x and y, in every family
-        out_kind = v.kind if g.kind is Kind.L else ("y" if v.kind == "x" else "x")
+        out_letter = v.letter if g.letter == "L" else ("y" if v.letter == "x" else "x")
         fam = self.family
         if fam is Family.SA:
             a, b = self.params["a"], self.params["b"]
-            if g.kind is Kind.L:
-                if v.kind == "x":
+            if g.letter == "L":
+                if v.letter == "x":
                     coeff = a + embed(vi) + embed(gi) * b
                 else:
                     coeff = a + embed(vi) + embed(gi) * (b - Fraction(1, 2))
             else:
-                if v.kind == "x":
+                if v.letter == "x":
                     coeff = cfg.ctx.one
                 else:
                     coeff = a + embed(vi) + embed(gi) * (b - Fraction(1, 2)) * 2
         elif fam is Family.SAPRIME:
             ap = self.params["a'"]
-            if g.kind is Kind.L:
-                if v.kind == "x":
+            if g.letter == "L":
+                if v.letter == "x":
                     if vi.is_zero():
                         coeff = embed(gi) * (embed(gi) + ap)
                     else:
@@ -196,7 +166,7 @@ class SeriesModule:
                 else:
                     coeff = embed(vi) + embed(gi) * Fraction(1, 2)
             else:
-                if v.kind == "x":
+                if v.letter == "x":
                     if vi.is_zero():
                         coeff = embed(gi) * 2 + ap
                     else:
@@ -205,8 +175,8 @@ class SeriesModule:
                     coeff = embed(vi) + embed(gi)
         else:
             ap = self.params["a'"]
-            if g.kind is Kind.L:
-                if v.kind == "x":
+            if g.letter == "L":
+                if v.letter == "x":
                     coeff = embed(vi) + embed(gi) * Fraction(1, 2)
                 else:
                     if target.is_zero():
@@ -214,7 +184,7 @@ class SeriesModule:
                     else:
                         coeff = embed(vi)
             else:
-                if v.kind == "x":
+                if v.letter == "x":
                     if target.is_zero():
                         coeff = embed(gi) * 2 + ap
                     else:
@@ -223,13 +193,12 @@ class SeriesModule:
                     coeff = embed(vi)
         if coeff.is_zero():
             return ModuleVector({})
-        return ModuleVector({ModuleBasisVector(out_kind, target): coeff})
+        return ModuleVector({Symbol(out_letter, target): coeff})
 
     def act(self, g, v) -> ModuleVector:
         """Bilinear extension of the basis action."""
-        if isinstance(g, BasisElt) and isinstance(v, ModuleBasisVector):
-            self._check_vector(v)
-            return self.act_basis(g, v)
+        if AlgebraElement.owns(g) and ModuleVector.owns(v):
+            return self.act_basis(g, v)  # checked by _act_basis before it was cached
         return ModuleVector.bilinear(self.algebra.element(g), self.vector(v),
                                      self.act_basis)
 
@@ -239,9 +208,10 @@ class SeriesModule:
         Returns act([u,w], v) - act(u, act(w, v))
         + (-1)^{|u||w|} act(w, act(u, v)); zero certifies the axiom.
         """
-        us, pu = self.algebra.homogeneous_terms(u)
-        ws, pw = self.algebra.homogeneous_terms(w)
-        vs = self._terms(v)
+        one = self.config.ctx.one
+        us, pu = AlgebraElement.homogeneous(u, one)
+        ws, pw = AlgebraElement.homogeneous(w, one)
+        vs, _ = ModuleVector.homogeneous(v, one)  # its parity is checked by act below
         if pu is None or pw is None:
             raise InputError("the module axiom check needs homogeneous generators")
         uw, wv, uv = self.algebra.bracket(u, w), self.act(w, v), self.act(u, v)
@@ -251,7 +221,7 @@ class SeriesModule:
             bilinear_terms(us, wv.items(), ab, negate=True),
             bilinear_terms(ws, uv.items(), ab, negate=bool(pu and pw))))
 
-    def weight_of(self, v: ModuleBasisVector) -> ScalarExpr:
+    def weight_of(self, v: Symbol) -> ScalarExpr:
         """Eigenvalue of L_0 on v."""
         self._check_vector(v)
         base = self.config.embed(v.index)
@@ -274,8 +244,8 @@ class SeriesModule:
         memo."""
         mask = 0
         for j, tgt in enumerate(basis):
-            kind = Kind.L if tgt.kind == src.kind else Kind.G
-            image = self._act_basis(BasisElt(kind, tgt.index - src.index), src)
+            letter = "L" if tgt.letter == src.letter else "G"
+            image = self._act_basis(Symbol(letter, tgt.index - src.index), src)
             if image.coefficient(tgt) is not None:
                 mask |= 1 << j
         return mask
@@ -346,7 +316,8 @@ class SeriesModule:
         True when every L and G generator with nonzero index in the level-k
         cone of bprime, mapping v to targets inside the box, annihilates v.
         On failure the first violating generator (in a fixed enumeration
-        order) is returned as the counterexample.
+        order) is returned as the counterexample.  When no generator
+        qualifies, the probe would check nothing, and that is an InputError.
         """
         if k < 0:
             raise InputError("k must be nonnegative")
@@ -359,16 +330,21 @@ class SeriesModule:
         if abs(unimodular_det(bprime)) != 1:
             raise InputError("the cone basis must be unimodular")
         indices = [t.index for t in v.terms]
-        for kind, parity in ((Kind.L, Parity.EVEN), (Kind.G, Parity.ODD)):
+        tried = False
+        for letter, parity in (("L", EVEN), ("G", ODD)):
             cone = ConeSpec(bprime, k, parity)
             for op_index in self.config.box(2 * box.radius, parity):
                 if op_index.is_zero() or not cone_member(op_index, cone):
                     continue
                 if any(not box.contains(op_index + i) for i in indices):
                     continue
-                op = BasisElt(kind, op_index)
+                op = Symbol(letter, op_index)
+                tried = True
                 if not self.act(op, v).is_zero():
                     return (False, op)
+        if not tried:
+            raise InputError(f"no generator of the level-{k} cone keeps the vector inside "
+                             f"the box of radius {box.radius}; the probe would check nothing")
         return (True, None)
 
     def quotient_dims(self, sub, box: BoxSpec):

@@ -14,7 +14,7 @@ changed in the bracket code shows up as a departure from this closed form.
 
 from fractions import Fraction
 
-from svir.algebra import CENTRAL, Kind
+from svir.algebra import CENTRAL
 
 A = Fraction(-1, 12)
 B = Fraction(-1, 3)
@@ -27,7 +27,7 @@ ORDER_SIGN = {"LGG": 1, "GLG": -1, "GGL": 1}
 
 def kind_order(x, y, z):
     """'LGG', 'GLG', 'GGL' for the one-L-two-G orders, else 'other'."""
-    order = "".join(e.kind.value for e in (x, y, z))
+    order = "".join(e.letter for e in (x, y, z))
     return order if order in ORDER_SIGN else "other"
 
 
@@ -36,7 +36,7 @@ def expected_jacobi_residual(config, x, y, z):
     sign = ORDER_SIGN.get(kind_order(x, y, z))
     if sign is None or not (x.index + y.index + z.index).is_zero():
         return {}
-    mu = next(e.index for e in (x, y, z) if e.kind is Kind.L)
+    mu = next(e.index for e in (x, y, z) if e.letter == "L")
     if mu.is_zero():
         return {}
     m = config.embed(mu)

@@ -19,10 +19,11 @@ import pytest
 
 from svir.algebra import AlgebraElement, CENTRAL, SuperVirasoro
 from svir.cli import _basis_elements
-from svir.lattice import (AlgebraConfig, LatticeBasis, Parity, adapted_cone_basis,
+from svir.lattice import (EVEN, ODD, AlgebraConfig, LatticeBasis, adapted_cone_basis,
                           cone_inclusion_check, iso_check, nested_cone_basis,
                           unimodular_det)
 from svir.repmod import BoxSpec, Family, SeriesModule
+from svir.scalar import InputError
 
 from jacobi_defect import DEFECT, expected_jacobi_residual, kind_order
 
@@ -179,7 +180,7 @@ def test_criterion_08_sb_prime_submodule_and_sa_fullness():
     closure_ok = sb.closure([y0], box2) == frozenset([y0])
     rows = sb.quotient_dims({y0}, box2)
     zero_even = [(v, dim) for v, dim in rows
-                 if v.index.parity.value == "even" and sb.weight_of(v).is_zero()]
+                 if v.index.parity == EVEN and sb.weight_of(v).is_zero()]
     quotient_ok = (len(zero_even) == 1 and zero_even[0][1] == 0
                    and all(dim == 1 for v, dim in rows if v != y0))
     sa = SeriesModule(cfg, Family.SA, {"a": cfg.var("a"), "b": cfg.var("b")})
@@ -195,8 +196,8 @@ def _cone_meets_box(config, bprime, k, box):
     """True when some nonzero level-k cone operator has its target in the box
     (independent enumeration mirroring the probe's candidate set)."""
     from svir.lattice import change_of_coords
-    for v in (config.box(2 * box.radius, Parity.EVEN)
-              + config.box(2 * box.radius, Parity.ODD)):
+    for v in (config.box(2 * box.radius, EVEN)
+              + config.box(2 * box.radius, ODD)):
         if v.is_zero() or not box.contains(v):
             continue
         if all(c >= k for c in change_of_coords(v, bprime)):
@@ -218,16 +219,16 @@ def test_criterion_09_ghw_probe_rejects_sa():
     decidable = 0
     for bprime in bases:
         for k in (0, 1, 2):
-            annihilated, witness = sa.ghw_probe(x0, bprime, k, box)
             if _cone_meets_box(cfg, bprime, k, box):
                 decidable += 1
+                annihilated, witness = sa.ghw_probe(x0, bprime, k, box)
                 if annihilated or witness is None:
                     ok = False
             else:
                 # the level-k cone misses the radius-4 box entirely, so the
-                # box-truncated probe is vacuously true by definition
-                if not annihilated or witness is not None:
-                    ok = False
+                # probe would check nothing and refuses to run
+                with pytest.raises(InputError, match="would check nothing"):
+                    sa.ghw_probe(x0, bprime, k, box)
     # the pinned example (identity basis, k = 1) must be among the decided
     annihilated, witness = sa.ghw_probe(x0, LatticeBasis.identity(2), 1, box)
     ok = ok and not annihilated and str(witness) == "L[1,1]"

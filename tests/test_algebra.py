@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svir.algebra import AlgebraElement, BasisElt, CENTRAL, Kind, SuperVirasoro
-from svir.lattice import AlgebraConfig, Parity
+from svir.algebra import AlgebraElement, CENTRAL, SuperVirasoro
+from svir.formal import Symbol
+from svir.lattice import EVEN, ODD, AlgebraConfig
 from svir.repmod import BoxSpec, Family, ModuleVector, SeriesModule
 from svir.scalar import InputError
 
@@ -89,8 +90,8 @@ def test_jacobi_residual_zero_except_on_characterized_triples(cfg, sv):
     one-L-two-G triples whose indices sum to zero with a nonzero L index,
     and equals the closed form -(1/3)(mu^3 - mu) c, signed by kind order, on
     them."""
-    elems = [BasisElt(Kind.L, v) for v in cfg.box(1, Parity.EVEN)] + \
-        [BasisElt(Kind.G, v) for v in cfg.box(1, Parity.ODD)] + [CENTRAL]
+    elems = [Symbol("L", v) for v in cfg.box(1, EVEN)] + \
+        [Symbol("G", v) for v in cfg.box(1, ODD)] + [CENTRAL]
     for x, y, z in itertools.product(elems, repeat=3):
         res = sv.super_jacobi_residual(x, y, z)
         assert res.terms == expected_jacobi_residual(cfg, x, y, z), (x, y, z)
@@ -110,8 +111,8 @@ def test_bracket_of_two_basis_elements_is_the_cached_image(sv):
 
 
 def test_graded_antisymmetry_and_weight_additivity_box(cfg, sv):
-    elems = [BasisElt(Kind.L, v) for v in cfg.box(1, Parity.EVEN)] + \
-        [BasisElt(Kind.G, v) for v in cfg.box(1, Parity.ODD)] + [CENTRAL]
+    elems = [Symbol("L", v) for v in cfg.box(1, EVEN)] + \
+        [Symbol("G", v) for v in cfg.box(1, ODD)] + [CENTRAL]
     for x, y in itertools.product(elems, repeat=2):
         lhs = sv.bracket_basis(x, y)
         rhs = sv.bracket_basis(y, x)
@@ -222,46 +223,46 @@ def test_basis_elt_validation(cfg):
     odd, even = cfg.odd((HALF, 0)), cfg.even((1, 0))
     # valid symbols on the same indices are interned first, and each
     # invalid one is still refused every time
-    BasisElt(Kind.G, odd), BasisElt(Kind.L, even)
+    Symbol("G", odd), Symbol("L", even)
     for _ in range(2):
         with pytest.raises(InputError, match="L requires an even index"):
-            BasisElt(Kind.L, odd)
+            Symbol("L", odd)
         with pytest.raises(InputError, match="G requires an odd index"):
-            BasisElt(Kind.G, even)
+            Symbol("G", even)
         with pytest.raises(InputError, match="the central element carries no index"):
-            BasisElt(Kind.C, even)
+            Symbol("c", even)
 
 
 def test_basis_elts_are_interned(cfg, sv):
     mu = cfg.even((1, 0))
-    assert sv.L((1, 0)) is BasisElt(Kind.L, mu)
+    assert sv.L((1, 0)) is Symbol("L", mu)
     other = AlgebraConfig(2, ("e1", "e2"), (-HALF, 0))
     assert SuperVirasoro(other).G((HALF, 0)) is sv.G((HALF, 0))
-    assert BasisElt(Kind.C, None) is CENTRAL
+    assert Symbol("c", None) is CENTRAL
     out = sv.bracket_basis(sv.L((1, 0)), sv.L((-1, 0)))
-    assert BasisElt(Kind.L, mu - mu) in out.terms and CENTRAL in out.terms
+    assert Symbol("L", mu - mu) in out.terms and CENTRAL in out.terms
 
 
-@pytest.mark.parametrize("field", ["kind", "index"])
+@pytest.mark.parametrize("field", ["letter", "index"])
 def test_basis_elt_fields_cannot_be_assigned(sv, field):
     g = sv.G((HALF, 0))
     with pytest.raises(AttributeError):
         setattr(g, field, getattr(g, field))
-    assert g.kind is Kind.G and g is sv.G((HALF, 0))
+    assert g.letter == "G" and g is sv.G((HALF, 0))
 
 
 def test_basis_elt_repr_shows_its_fields(sv):
-    assert repr(sv.L((1, 0))) == ("BasisElt(kind=<Kind.L: 'L'>, index=IndexVector("
-                                  "twice=(2, 0), parity=<Parity.EVEN: 'even'>))")
-    assert repr(CENTRAL) == "BasisElt(kind=<Kind.C: 'c'>, index=None)"
+    assert repr(sv.L((1, 0))) == ("Symbol(letter='L', index=IndexVector("
+                                  "twice=(2, 0), parity=0), parity=0)")
+    assert repr(CENTRAL) == "Symbol(letter='c', index=None, parity=0)"
 
 
 # -- bilinear accumulation against a plain-dict reference ---------------------
 
 _CFG = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "b"))
 _SA = SeriesModule(_CFG, Family.SA, {"a": _CFG.var("a"), "b": _CFG.var("b")})
-_GENERATORS = [BasisElt(Kind.L, v) for v in _CFG.box(1, Parity.EVEN)] + \
-    [BasisElt(Kind.G, v) for v in _CFG.box(1, Parity.ODD)] + [CENTRAL]
+_GENERATORS = [Symbol("L", v) for v in _CFG.box(1, EVEN)] + \
+    [Symbol("G", v) for v in _CFG.box(1, ODD)] + [CENTRAL]
 _VECTORS = list(_SA.basis_in_box(BoxSpec(1)))
 
 

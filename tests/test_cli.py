@@ -498,6 +498,10 @@ _BAD_INPUTS = {
     "ghw-non-square": (None, ["ghw", "--family", "SA", "--vector", "x[0,0]",
                               "--basis", "[[1,0],[0]]"],
                        "error: basis matrix must be square\n"),
+    "ghw-no-generator-in-the-box": (
+        None, ["ghw", "--family", "SA", "--vector", "x[0,0]", "--k", "3", "--radius", "1"],
+        "error: no generator of the level-3 cone keeps the vector inside the box of "
+        "radius 1; the probe would check nothing\n"),
     "quotient-seed-outside-box": (None, ["quotient", "--family", "SBprime",
                                          "--seeds", "y[5,0]", "--radius", "1"],
                                   "error: seed y[5,0] lies outside the box\n"),

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svir.lattice import (AlgebraConfig, ConeSpec, IndexVector, LatticeBasis, Parity,
-                          adapted_cone_basis, change_of_coords,
+from svir.lattice import (EVEN, ODD, PARITY_NAMES, AlgebraConfig, ConeSpec, IndexVector,
+                          LatticeBasis, adapted_cone_basis, change_of_coords,
                           cone_inclusion_check, cone_member, iso_check,
                           nested_cone_basis, unimodular_det)
 from svir.parse import parse_index
@@ -22,7 +22,7 @@ def test_embed_examples(cfg):
 
 
 def test_embed_is_injective_on_a_box(cfg):
-    vectors = cfg.box(2, Parity.EVEN) + cfg.box(2, Parity.ODD)
+    vectors = cfg.box(2, EVEN) + cfg.box(2, ODD)
     embeds = {cfg.embed(v) for v in vectors}
     assert len(embeds) == len(vectors)
 
@@ -32,7 +32,7 @@ def test_box_size_counts_the_box(sigma):
     n = len(sigma)
     cfg = AlgebraConfig(n, [f"d{i + 1}" for i in range(n)], sigma)
     for radius in (0, HALF, 1, Fraction(3, 2), 2, Fraction(5, 2), -1):
-        for parity in Parity:
+        for parity in (EVEN, ODD):
             assert cfg.box_size(radius, parity) == len(cfg.box(radius, parity))
 
 
@@ -68,10 +68,10 @@ def test_nested_cone_basis_needs_rank_two():
 
 
 def test_cone_member(cfg):
-    even_cone = ConeSpec(LatticeBasis.identity(2), 2, Parity.EVEN)
+    even_cone = ConeSpec(LatticeBasis.identity(2), 2, EVEN)
     assert cone_member(cfg.even((2, 3)), even_cone)
     assert not cone_member(cfg.even((2, 1)), even_cone)
-    odd_cone = ConeSpec(LatticeBasis.identity(2), 0, Parity.ODD)
+    odd_cone = ConeSpec(LatticeBasis.identity(2), 0, ODD)
     assert cone_member(cfg.odd((Fraction(3, 2), 2)), odd_cone)
     with pytest.raises(InputError, match="does not match the cone parity"):
         cone_member(cfg.even((1, 1)), odd_cone)
@@ -229,7 +229,7 @@ def test_change_of_coords(cfg):
 
 def test_change_of_coords_round_trips_with_embed(cfg):
     bprime = nested_cone_basis(2, 3)
-    for v in cfg.box(2, Parity.EVEN) + cfg.box(2, Parity.ODD):
+    for v in cfg.box(2, EVEN) + cfg.box(2, ODD):
         coords = change_of_coords(v, bprime)
         total = cfg.ctx.zero
         for c, i in zip(coords, range(2)):
@@ -277,22 +277,22 @@ def test_iso_check_rank_two_ambient():
 
 def test_index_vector_arithmetic(cfg):
     v = cfg.even((1, 2)) + cfg.odd((HALF, 0))
-    assert v.parity is Parity.ODD
+    assert v.parity == ODD
     assert v.coords == (Fraction(3, 2), Fraction(2))
     w = cfg.odd((HALF, 0)) + cfg.odd((HALF, 1))
-    assert w.parity is Parity.EVEN
+    assert w.parity == EVEN
     with pytest.raises(InputError, match="only even index vectors"):
         cfg.odd((HALF, 0)).scale(2)
 
 
 def test_index_vectors_are_interned(cfg):
     v = cfg.even((1, 0))
-    assert v is IndexVector((2, 0), Parity.EVEN)
+    assert v is IndexVector((2, 0), EVEN)
     other = AlgebraConfig(2, ("e1", "e2"), (-HALF, 0))
     assert other.even((1, 0)) is v
     assert other.odd((HALF, 0)) is cfg.odd((HALF, 0))
     assert cfg.odd((HALF, 0)) is not cfg.odd((-HALF, 0))
-    assert IndexVector((1, 0), Parity.ODD) is not IndexVector((1, 0), Parity.EVEN)
+    assert IndexVector((1, 0), ODD) is not IndexVector((1, 0), EVEN)
     a, b = cfg.even((2, -1)), cfg.odd((-HALF, 3))
     assert a + b is cfg.odd((Fraction(3, 2), 2))
     assert a - a is cfg.even((0, 0))
@@ -311,7 +311,7 @@ def test_index_vector_fields_cannot_be_assigned(cfg, field):
 
 def test_index_vector_repr_shows_its_fields(cfg):
     assert repr(cfg.odd((HALF, -1))) == \
-        "IndexVector(twice=(1, -2), parity=<Parity.ODD: 'odd'>)"
+        "IndexVector(twice=(1, -2), parity=1)"
 
 
 def test_basis_rejects_non_integral_entries():
@@ -329,8 +329,8 @@ def _lattice_cases(draw):
     sigma = tuple(Fraction(t, 2) for t in draw(st.just([0] * n) | halves))
     points = []
     for _ in range(2):
-        parity = draw(st.sampled_from(Parity))
-        offset = sigma if parity is Parity.ODD else (0,) * n
+        parity = draw(st.sampled_from((EVEN, ODD)))
+        offset = sigma if parity == ODD else (0,) * n
         shift = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
         points.append((tuple(s + k for s, k in zip(offset, shift)), parity))
     return n, sigma, points
@@ -344,24 +344,24 @@ def test_index_vectors_agree_with_fraction_coordinates(case, m, twice_radius):
     assert cfg.sigma_index.coords == sigma
     u, v = cfg.index(cu, pu), cfg.index(cv, pv)
     assert u.coords == cu and v.coords == cv
-    with pytest.raises(InputError, match=f"are not in the {pu.value} class"):
+    with pytest.raises(InputError, match=f"are not in the {PARITY_NAMES[pu]} class"):
         cfg.index((cu[0] + HALF,) + cu[1:], pu)
     assert parse_index(cfg, str(u), pu) == u
     total, diff = u + v, u - v
     assert total.coords == tuple(a + b for a, b in zip(cu, cv))
     assert diff.coords == tuple(a - b for a, b in zip(cu, cv))
-    assert total.parity is diff.parity is pu + pv
+    assert total.parity == diff.parity == pu ^ pv
     assert cfg.index(total.coords, total.parity) == total
     assert cfg.index(diff.coords, diff.parity) == diff
-    if pu is Parity.EVEN:
+    if pu == EVEN:
         assert u.scale(m).coords == tuple(m * a for a in cu)
 
     radius = Fraction(twice_radius, 2)
     grid = [Fraction(k, 2) for k in range(-twice_radius, twice_radius + 1)]
-    for parity in Parity:
-        offset = sigma if parity is Parity.ODD else (0,) * n
+    for parity in (EVEN, ODD):
+        offset = sigma if parity == ODD else (0,) * n
         expected = [c for c in itertools.product(grid, repeat=n)
                     if all((x - s).denominator == 1 for x, s in zip(c, offset))]
         box = cfg.box(radius, parity)
         assert [w.coords for w in box] == expected
-        assert all(w.parity is parity for w in box)
+        assert all(w.parity == parity for w in box)

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svir.algebra import AlgebraElement, BasisElt, CENTRAL, Kind
-from svir.lattice import AlgebraConfig, Parity
+from svir.algebra import AlgebraElement, CENTRAL
+from svir.formal import Symbol
+from svir.lattice import EVEN, ODD, AlgebraConfig
 from svir.parse import (ParseError, parse_element, parse_index,
                         parse_rational_matrix, parse_rational_vector,
                         parse_scalar)
@@ -172,8 +173,7 @@ def test_zero_element_round_trip(cfg, sa):
 def test_index_literals(cfg):
     v = parse_index(cfg, "[1,-2]")
     assert v.coords == (1, -2)
-    from svir.lattice import Parity
-    w = parse_index(cfg, "[1/2,3]", parity=Parity.ODD)
+    w = parse_index(cfg, "[1/2,3]", parity=ODD)
     assert w.coords == (HALF, 3)
     with pytest.raises(ParseError):
         parse_index(cfg, "[1]")
@@ -202,8 +202,8 @@ def test_deeply_nested_literal_is_a_parse_error(cfg, text):
 
 _CFG = AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "b", "a'"))
 _ATOMS = [_CFG.var(name) for name in _CFG.ctx.names]
-_GENERATORS = [BasisElt(Kind.L, v) for v in _CFG.box(1, Parity.EVEN)] + \
-    [BasisElt(Kind.G, v) for v in _CFG.box(1, Parity.ODD)] + [CENTRAL]
+_GENERATORS = [Symbol("L", v) for v in _CFG.box(1, EVEN)] + \
+    [Symbol("G", v) for v in _CFG.box(1, ODD)] + [CENTRAL]
 _MODULES = [SeriesModule(_CFG, family, {name: _CFG.var(name)
                                         for name in family.param_names})
             for family in Family]

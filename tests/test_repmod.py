@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svir.algebra import CENTRAL, BasisElt, Kind
-from svir.lattice import AlgebraConfig, LatticeBasis, Parity
-from svir.repmod import BoxSpec, Family, ModuleBasisVector, SeriesModule
+from svir.algebra import CENTRAL
+from svir.formal import Symbol
+from svir.lattice import EVEN, ODD, AlgebraConfig, LatticeBasis
+from svir.repmod import BoxSpec, Family, SeriesModule
 from svir.scalar import InputError
 
 HALF = Fraction(1, 2)
@@ -14,7 +15,7 @@ HALF = Fraction(1, 2)
 
 def test_family_parity_of_x_and_y():
     assert [(f.parity("x"), f.parity("y")) for f in Family] == [
-        (Parity.EVEN, Parity.ODD), (Parity.EVEN, Parity.ODD), (Parity.ODD, Parity.EVEN)]
+        (EVEN, ODD), (EVEN, ODD), (ODD, EVEN)]
 
 
 def test_sa_action_table(cfg, sa, sv):
@@ -95,7 +96,7 @@ def test_basis_arguments_are_checked_without_being_wrapped(sa, sv):
     mixed = sv.element(sv.L((1, 0))) + sv.element(sv.G((HALF, 0)))
     with pytest.raises(InputError, match="homogeneous generators"):
         sa.rep_residual(sv.L((0, 0)), mixed, sa.x((0, 0)))
-    misplaced = ModuleBasisVector("x", sa.y((HALF, 0)).index)
+    misplaced = Symbol("x", sa.y((HALF, 0)).index)
     with pytest.raises(InputError, match="x carries even indices in SA"):
         sa.rep_residual(sv.L((0, 0)), sv.L((1, 0)), misplaced)
     with pytest.raises(InputError, match="x carries even indices in SA"):
@@ -119,9 +120,9 @@ def test_weight_additivity_and_injectivity(cfg, sa, sv):
             image = sa.act_basis(g, v)
             for term in image.terms:
                 assert term.index.coords == (g.index + v.index).coords
-    for parity in (Parity.EVEN, Parity.ODD):
+    for parity in (EVEN, ODD):
         weights = [sa.weight_of(v) for v in sa.basis_in_box(box)
-                   if v.index.parity is parity]
+                   if v.index.parity == parity]
         assert len(set(weights)) == len(weights)
 
 
@@ -136,8 +137,8 @@ def test_parity_validation(cfg, sa, sb_prime):
 
 
 def test_module_basis_vectors_are_interned(cfg, sa, sb_prime):
-    assert sa.x((1, 0)) is ModuleBasisVector("x", cfg.even((1, 0)))
-    assert sb_prime.y((1, 0)) is ModuleBasisVector("y", cfg.even((1, 0)))
+    assert sa.x((1, 0)) is Symbol("x", cfg.even((1, 0)))
+    assert sb_prime.y((1, 0)) is Symbol("y", cfg.even((1, 0)))
     assert sa.y((HALF, 0)) is not sb_prime.x((HALF, 0))
     other = AlgebraConfig(2, ("e1", "e2"), (-HALF, 0), extra_names=("a'",))
     module = SeriesModule(other, Family.SAPRIME, {"a'": other.var("a'")})
@@ -148,20 +149,47 @@ def test_module_basis_vector_validation_runs_after_interning(cfg, sa):
     sa.x((0, 0))
     for _ in range(2):
         with pytest.raises(InputError, match="module basis symbols are x and y"):
-            ModuleBasisVector("z", cfg.even((0, 0)))
+            Symbol("z", cfg.even((0, 0)))
 
 
-@pytest.mark.parametrize("field", ["kind", "index"])
+@pytest.mark.parametrize("field", ["letter", "index"])
 def test_module_basis_vector_fields_cannot_be_assigned(sa, field):
     v = sa.x((1, 0))
     with pytest.raises(AttributeError):
         setattr(v, field, getattr(v, field))
-    assert v.kind == "x" and v is sa.x((1, 0))
+    assert v.letter == "x" and v is sa.x((1, 0))
 
 
 def test_module_basis_vector_repr_shows_its_fields(sa):
-    assert repr(sa.y((HALF, 0))) == ("ModuleBasisVector(kind='y', index=IndexVector("
-                                     "twice=(1, 0), parity=<Parity.ODD: 'odd'>))")
+    assert repr(sa.y((HALF, 0))) == ("Symbol(letter='y', index=IndexVector("
+                                     "twice=(1, 0), parity=1), parity=1)")
+
+
+def test_a_symbol_of_the_other_family_is_refused(sa, sv):
+    # algebra and module symbols are one type; the letters keep them apart
+    l0, x0 = sv.L((0, 0)), sa.x((0, 0))
+    calls = [lambda: sv.element(x0), lambda: sa.vector(l0), lambda: sa.vector(sv.element(l0)),
+             lambda: sv.bracket(x0, l0), lambda: sv.bracket(l0, x0),
+             lambda: sa.act(x0, x0), lambda: sa.act(l0, l0),
+             lambda: sv.super_jacobi_residual(x0, l0, l0),
+             lambda: sv.super_jacobi_residual(l0, x0, l0),
+             lambda: sv.super_jacobi_residual(l0, l0, x0),
+             lambda: sa.rep_residual(x0, l0, x0), lambda: sa.rep_residual(l0, x0, x0),
+             lambda: sa.rep_residual(l0, l0, l0)]
+    for call in calls:
+        with pytest.raises(TypeError, match="cannot coerce"):
+            call()
+
+
+def test_a_symbol_has_the_parity_of_its_index(cfg, sa, sb_prime):
+    box = BoxSpec(1)
+    generators = [Symbol(letter, v) for letter, parity in (("L", EVEN), ("G", ODD))
+                  for v in cfg.box(1, parity)]
+    symbols = generators + list(sa.basis_in_box(box)) + list(sb_prime.basis_in_box(box))
+    assert all(sym.parity == sym.index.parity for sym in symbols)
+    assert {sym.parity for sym in generators if sym.letter == "G"} == {ODD}
+    assert {sym.parity for sym in sb_prime.basis_in_box(box) if sym.letter == "x"} == {ODD}
+    assert CENTRAL.parity == EVEN == 0
 
 
 def test_closure_sb_prime_fixed_point(cfg, sb_prime, sv):
@@ -172,9 +200,8 @@ def test_closure_sb_prime_fixed_point(cfg, sb_prime, sv):
     for target in sb_prime.basis_in_box(box):
         if target == y0:
             continue
-        from svir.algebra import BasisElt, Kind
-        kind = Kind.L if target.kind == "y" else Kind.G
-        op = BasisElt(kind, target.index - y0.index)
+        letter = "L" if target.letter == "y" else "G"
+        op = Symbol(letter, target.index - y0.index)
         assert sb_prime.act_basis(op, y0).is_zero()
     assert sb_prime.closure([y0], box) == frozenset([y0])
 
@@ -229,8 +256,8 @@ def reference_closure(module, seeds, box):
         for tgt in targets:
             if tgt in current:
                 continue
-            kind = Kind.L if tgt.kind == src.kind else Kind.G
-            image = module.act_basis(BasisElt(kind, tgt.index - src.index), src)
+            letter = "L" if tgt.letter == src.letter else "G"
+            image = module.act_basis(Symbol(letter, tgt.index - src.index), src)
             if image.coefficient(tgt) is not None:
                 current.add(tgt)
                 frontier.append(tgt)
@@ -303,12 +330,13 @@ def test_ghw_probe(cfg, sa, sb_prime):
     assert ok and none is None
 
 
-def test_ghw_probe_is_vacuous_when_the_cone_misses_the_box(cfg, sa):
-    # level-2 cone of a deep basis has no members with targets in radius 2
+def test_ghw_probe_refuses_a_cone_that_misses_the_box(cfg, sa):
+    # level-2 cone of a deep basis has no members with targets in radius 2,
+    # so the probe would check nothing
     from svir.lattice import nested_cone_basis
-    ok, witness = sa.ghw_probe(sa.vector(sa.x((0, 0))),
-                               nested_cone_basis(2, 2), 2, BoxSpec(2))
-    assert ok and witness is None
+    with pytest.raises(InputError, match="no generator of the level-2 cone keeps the "
+                                         "vector inside the box of radius 2"):
+        sa.ghw_probe(sa.vector(sa.x((0, 0))), nested_cone_basis(2, 2), 2, BoxSpec(2))
 
 
 def test_ghw_probe_zero_vector(cfg, sa):
@@ -322,7 +350,7 @@ def test_quotient_dims(cfg, sb_prime):
     y0 = sb_prime.y((0, 0))
     rows = sb_prime.quotient_dims({y0}, box)
     zero_even = [(v, dim) for v, dim in rows
-                 if v.index.parity is Parity.EVEN and sb_prime.weight_of(v).is_zero()]
+                 if v.index.parity == EVEN and sb_prime.weight_of(v).is_zero()]
     assert len(zero_even) == 1 and zero_even[0][1] == 0
     others = [dim for v, dim in rows if v != y0]
     assert all(dim == 1 for dim in others)
