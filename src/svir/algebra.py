@@ -117,8 +117,11 @@ class SuperVirasoro:
     def super_jacobi_residual(self, x, y, z) -> AlgebraElement:
         """Residual of the graded Leibniz identity on a homogeneous triple.
 
-        Returns [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]; zero
-        certifies the identity on that triple.
+        Returns J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]];
+        zero certifies the identity on that triple.  With e = (-1)^{|x||y|},
+        if [y,x] = -e [x,y] then, by bilinearity and e^2 = 1,
+            J(y,x,z) = [y,[x,z]] - [[y,x],z] - e [x,[y,z]]
+                     = [y,[x,z]] + e [[x,y],z] - e [x,[y,z]] = -e J(x,y,z).
         """
         one = self.config.ctx.one
         xs, px = AlgebraElement.homogeneous(x, one)
@@ -133,6 +136,31 @@ class SuperVirasoro:
             bilinear_terms(xy.items(), zs, bb, negate=True),
             bilinear_terms(ys, xz.items(), bb, negate=not (px and py))))
 
+    def twin_failures(self, residual, elems, thirds):
+        """The nonzero residual(x, y, t) over x, y in elems and t in thirds,
+        as (x, y, t, residual) in itertools.product order.
+
+        residual is super_jacobi_residual or a module's rep_residual: both
+        satisfy residual(y, x, t) = -(-1)^{|x||y|} residual(x, y, t) for
+        every t once [y,x] = -(-1)^{|x||y|} [x,y] (see their docstrings).
+        So residual runs on the pairs with x at or before y in elems; the
+        swap of such a pair is derived when that bracket identity holds
+        exactly for the pair, and computed directly when it does not.
+        """
+        bb = self.bracket_basis
+        derived = {}  # (i, j) -> failures of (elems[i], elems[j]), from (j, i)
+        for i, x in enumerate(elems):
+            for j, y in enumerate(elems):
+                found = derived.pop((i, j), None)
+                if found is None:
+                    found = [(t, r) for t in thirds
+                             if not (r := residual(x, y, t)).is_zero()]
+                    odd = x.parity and y.parity
+                    if i < j and bb(y, x) == (bb(x, y) if odd else -bb(x, y)):
+                        derived[j, i] = [(t, r if odd else -r) for t, r in found]
+                for t, r in found:
+                    yield x, y, t, r
+
     def ad_power(self, x, m: int, y) -> AlgebraElement:
         """m-fold left bracket with x; m = 0 returns y unchanged."""
         if m < 0:
@@ -142,13 +170,15 @@ class SuperVirasoro:
             out = self.bracket(x, out)
         return out
 
-    def ladder_identity_check(self, d: IndexVector, mu: IndexVector, m: int) -> bool:
-        """Check the ad-ladder identities reaching L_{mu+m*d} and G_{sigma+mu+m*d}.
+    def ladder_checks(self, d: IndexVector, mu: IndexVector, m: int):
+        """Whether the ad-ladder identities hold, for each step 1..m in turn.
 
         Iterating ad L_d from L_mu multiplies by (mu + i*d) for
-        i = -1..m-2; from G_{sigma+mu} it multiplies by
-        (sigma + mu + (i + 1/2)*d) over the same range.  True exactly when
-        both recovered generators match after dividing out the products.
+        i = -1..k-2 to reach L_{mu+k*d}; from G_{sigma+mu} it multiplies by
+        (sigma + mu + (i + 1/2)*d) over the same range to reach
+        G_{sigma+mu+k*d}.  Step k is true exactly when both recovered
+        generators match after dividing out the products.  Each step extends
+        both chains by one bracket and one factor.
         """
         if m < 1:
             raise InputError("m must be positive")
@@ -158,28 +188,36 @@ class SuperVirasoro:
             raise InputError("mu must be an even index")
         cfg = self.config
         e_d = cfg.embed(d)
+        e_mu = cfg.embed(mu)
         eta0 = cfg.sigma_index + mu
+        e_eta0 = cfg.embed(eta0)
         l_d = Symbol("L", d)
         steps = range(-1, m - 1)
         message = "a ladder factor vanishes for this degenerate specialization"
-        _, ok_l = self._scaled_power_check(
-            l_d, Symbol("L", mu), Symbol("L", mu + d.scale(m)),
-            [cfg.embed(mu) + e_d * i for i in steps], message)
-        _, ok_g = self._scaled_power_check(
-            l_d, Symbol("G", eta0), Symbol("G", eta0 + d.scale(m)),
-            [cfg.embed(eta0) + e_d * Fraction(2 * i + 1, 2) for i in steps], message)
-        return ok_l and ok_g
+        chains = zip(
+            self._ad_chain(l_d, Symbol("L", mu), (e_mu + e_d * i for i in steps), message),
+            self._ad_chain(l_d, Symbol("G", eta0),
+                           (e_eta0 + e_d * Fraction(2 * i + 1, 2) for i in steps), message))
+        next(chains)  # step 0: the starting generators
+        for k, ((product_l, got_l), (product_g, got_g)) in enumerate(chains, 1):
+            reach = d.scale(k)
+            yield (got_l == self.element(Symbol("L", mu + reach)).scale(product_l)
+                   and got_g == self.element(Symbol("G", eta0 + reach)).scale(product_g))
 
-    def _scaled_power_check(self, x, start, target, factors, message):
-        """(product of factors, whether ad_x^len(factors) start equals target
-        times that product).  A vanishing factor is an InputError(message)."""
+    def _ad_chain(self, x, start, factors, message):
+        """Yield (product of the first k factors, ad_x^k start) for
+        k = 0, 1, ..., len(factors), one factor and one bracket per step.
+        A vanishing factor is an InputError(message) when the chain reaches
+        it."""
         product = self.config.ctx.one
+        got = self.element(start)
+        yield product, got
         for f in factors:
             if f.is_zero():
                 raise InputError(message)
             product = product * f
-        got = self.ad_power(x, len(factors), start)
-        return product, got == self.element(target).scale(product)
+            got = self.bracket(x, got)
+            yield product, got
 
     # -- adapted-basis bracket witnesses ---------------------------------------
 
@@ -201,10 +239,12 @@ class SuperVirasoro:
         for row, (step, copies) in enumerate(adapted.chains):
             start = mu + step
             e_step = cfg.embed(step)
-            product, bracket_ok = self._scaled_power_check(
-                l_mu, Symbol("L", start), Symbol("L", adapted.basis.row_vector(row)),
-                [e_mu * t + e_step for t in range(copies)],
-                "a witness product factor vanished")
+            for product, got in self._ad_chain(l_mu, Symbol("L", start),
+                                               [e_mu * t + e_step for t in range(copies)],
+                                               "a witness product factor vanished"):
+                pass
+            target = Symbol("L", adapted.basis.row_vector(row))
+            bracket_ok = got == self.element(target).scale(product)
             in_a = all(abs(t) <= 2 for t in step.twice)
             entries.append(WitnessEntry(row, start, copies, product, step, in_a, bracket_ok))
         ok = all(e.step_in_neighborhood and e.bracket_ok for e in entries)

@@ -64,6 +64,11 @@ class Session:
         sigma = [parse_rational(str(s))
                  for s in raw.get("sigma", ["1/2"] + ["0"] * (n - 1))]
         self.params = raw.get("params", {})
+        declared = dict.fromkeys(name for f in Family for name in f.param_names)
+        for name in self.params:
+            if name not in declared:
+                raise InputError(f"config 'params' names {name!r}, which no family "
+                                 f"declares; the parameters are {', '.join(declared)}")
         self.family = raw.get("family")
         name = family or self.family
         try:
@@ -168,12 +173,8 @@ def cmd_jacobi_fuzz(session, args):
     _limit_checks((_box_size(session.config, radius) + 1) ** 3)
     sv = SuperVirasoro(session.config)
     elems = _basis_elements(session.config, radius)
-    failures = []
-    for x, y, z in itertools.product(elems, repeat=3):
-        residual = sv.super_jacobi_residual(x, y, z)
-        if not residual.is_zero():
-            failures.append({"triple": [str(x), str(y), str(z)],
-                             "residual": str(residual)})
+    failures = [{"triple": [str(x), str(y), str(z)], "residual": str(r)}
+                for x, y, z, r in sv.twin_failures(sv.super_jacobi_residual, elems, elems)]
     checked = len(elems) ** 3
     status = "fail" if failures else "pass"
     results = [{"check": "super_jacobi", "status": status,
@@ -286,8 +287,7 @@ def cmd_ladder(session, args):
     sv = SuperVirasoro(config)
     results = []
     lines = []
-    for m in range(1, args.m + 1):
-        ok = sv.ladder_identity_check(d, mu, m)
+    for m, ok in enumerate(sv.ladder_checks(d, mu, args.m), 1):
         results.append({"check": "ladder_identity", "status": "pass" if ok else "fail",
                         "m": m, "mu": str(mu), "d": str(d)})
         lines.append(f"ladder m={m}: {'ok' if ok else 'FAILED'}")

@@ -205,8 +205,13 @@ class SeriesModule:
     def rep_residual(self, u, w, v) -> ModuleVector:
         """Module-axiom residual on a homogeneous generator pair.
 
-        Returns act([u,w], v) - act(u, act(w, v))
-        + (-1)^{|u||w|} act(w, act(u, v)); zero certifies the axiom.
+        Returns R(u,w,v) = act([u,w], v) - act(u, act(w, v))
+        + (-1)^{|u||w|} act(w, act(u, v)); zero certifies the axiom.  With
+        e = (-1)^{|u||w|}, if [w,u] = -e [u,w] then, by linearity of act in
+        the generator and e^2 = 1, whatever the action table,
+            R(w,u,v) = act([w,u], v) - act(w, act(u, v)) + e act(u, act(w, v))
+                     = -e act([u,w], v) - act(w, act(u, v)) + e act(u, act(w, v))
+                     = -e R(u,w,v).
         """
         one = self.config.ctx.one
         us, pu = AlgebraElement.homogeneous(u, one)

@@ -141,23 +141,74 @@ def test_ad_power_examples(cfg, sv):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_ladder_identities(cfg, sv, m):
-    assert sv.ladder_identity_check(cfg.even((0, 1)), cfg.even((1, 0)), m)
+    assert list(sv.ladder_checks(cfg.even((0, 1)), cfg.even((1, 0)), m))[-1]
 
 
 def test_ladder_identity_other_steps(cfg, sv):
-    assert sv.ladder_identity_check(cfg.even((1, 1)), cfg.even((1, 0)), 2)
-    assert sv.ladder_identity_check(cfg.even((0, 1)), cfg.even((2, -1)), 3)
+    assert list(sv.ladder_checks(cfg.even((1, 1)), cfg.even((1, 0)), 2))[-1]
+    assert list(sv.ladder_checks(cfg.even((0, 1)), cfg.even((2, -1)), 3))[-1]
 
 
 def test_ladder_degenerate_factor(cfg, sv):
     # mu = 0 makes the i = 0 factor vanish once m >= 2
     with pytest.raises(InputError, match="degenerate specialization"):
-        sv.ladder_identity_check(cfg.even((0, 1)), cfg.even((0, 0)), 2)
+        list(sv.ladder_checks(cfg.even((0, 1)), cfg.even((0, 0)), 2))
+
+
+def _ladder_by_restart(sv, d, mu, m):
+    """The ladder identities at m, from a fresh ad power and factor product."""
+    cfg = sv.config
+    ok = True
+    for letter, start, shift in (("L", mu, 0), ("G", cfg.sigma_index + mu, HALF)):
+        product = cfg.ctx.one
+        for i in range(-1, m - 1):
+            product = product * (cfg.embed(start) + cfg.embed(d) * (i + shift))
+        got = sv.ad_power(Symbol("L", d), m, Symbol(letter, start))
+        ok = ok and got == sv.element(Symbol(letter, start + d.scale(m))).scale(product)
+    return ok
+
+
+class _LadderRungBroken(SuperVirasoro):
+    """The defining bracket with [L_{0,1}, L_{1,2}] doubled."""
+
+    def _bracket_basis(self, x, y):
+        out = super()._bracket_basis(x, y)
+        if (x, y) == (self.L((0, 1)), self.L((1, 2))):
+            return out.scale(self.config.scalar(2))
+        return out
+
+
+@pytest.mark.parametrize("algebra", [SuperVirasoro, _LadderRungBroken])
+def test_ladder_checks_extend_one_chain(cfg, algebra):
+    sv = algebra(cfg)
+    d, mu = cfg.even((0, 1)), cfg.even((1, 0))
+    expected = [_ladder_by_restart(sv, d, mu, m) for m in range(1, 7)]
+    brackets = []
+    bracket = sv.bracket
+    sv.bracket = lambda x, y: brackets.append(y) or bracket(x, y)
+    assert list(sv.ladder_checks(d, mu, 6)) == expected
+    assert expected == ([True] * 6 if algebra is SuperVirasoro else [True, True] + [False] * 4)
+    # one bracket per step in each of the L and G chains
+    assert len(brackets) == 2 * 6
+
+
+def test_ladder_checks_stop_at_the_first_vanishing_factor(cfg, sv):
+    # the G chain's factor sigma + mu + (i + 1/2)*d vanishes at i = 2, first
+    # reached at step 4
+    steps = sv.ladder_checks(cfg.even((1, 2)), cfg.even((-3, -5)), 6)
+    assert [next(steps) for _ in range(3)] == [True] * 3
+    with pytest.raises(InputError, match="degenerate specialization"):
+        next(steps)
 
 
 def test_ladder_validates_parities(cfg, sv):
     with pytest.raises(InputError, match="the ladder steps by an even index"):
-        sv.ladder_identity_check(cfg.odd((HALF, 0)), cfg.even((1, 0)), 1)
+        list(sv.ladder_checks(cfg.odd((HALF, 0)), cfg.even((1, 0)), 1))
+
+
+def test_ladder_needs_a_step(cfg, sv):
+    with pytest.raises(InputError, match="m must be positive"):
+        list(sv.ladder_checks(cfg.even((0, 1)), cfg.even((1, 0)), 0))
 
 
 def test_bracket_witness_single_step(cfg, sv):

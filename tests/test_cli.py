@@ -475,6 +475,14 @@ _BAD_INPUTS = {
                               "error: cannot read config .: "),
     "duplicate-names": ({"d_names": ["d1", "d1"]}, _BRACKET,
                         "error: bad configuration: indeterminate names must be unique\n"),
+    "unknown-param-name": ({"family": "SA", "params": {"zz": "1"}},
+                           ["rep-fuzz", "--radius", "1/2", "--vector-radius", "1"],
+                           "error: config 'params' names 'zz', which no family declares; "
+                           "the parameters are a, b, a'\n"),
+    "param-name-typo": ({"family": "SA", "params": {"A": "0", "b": "1"}},
+                        ["rep-fuzz", "--radius", "1/2", "--vector-radius", "1"],
+                        "error: config 'params' names 'A', which no family declares; "
+                        "the parameters are a, b, a'\n"),
     "rank-1-cone-basis": ({"n": 1}, ["cone-basis", "--k", "1"],
                           "error: rank must be at least 2\n"),
     "unknown-family": (None, ["simplicity", "--family", "SC"],
