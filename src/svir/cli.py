@@ -125,12 +125,12 @@ def _box_size(config, radius):
     return config.box_size(radius, EVEN) + config.box_size(radius, ODD)
 
 
-def _limit_checks(checks):
+def _limit_checks(checks, knob="radius"):
     """Refuse a run of more than MAX_CHECKS checks, before it starts."""
     if checks > MAX_CHECKS:
         # through Decimal: str of an int stops at the int-to-str digit limit
         raise InputError(f"this run needs {Decimal(checks):,} checks, more than the limit "
-                         f"of {MAX_CHECKS:,}; choose a smaller radius")
+                         f"of {MAX_CHECKS:,}; choose a smaller {knob}")
 
 
 def _family_fields(module):
@@ -281,6 +281,7 @@ def cmd_adapted_basis(session, args):
 def cmd_ladder(session, args):
     if args.m < 1:
         raise InputError(f"--m {args.m} checks no ladder step; it must be at least 1")
+    _limit_checks(2 * args.m, "--m")  # one bracket per step in each of two chains
     config = session.config
     mu = parse_index(config, args.mu) if args.mu else config.unit(0)
     d = parse_index(config, args.d) if args.d else config.unit(config.n - 1)

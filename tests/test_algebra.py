@@ -127,15 +127,23 @@ def test_graded_antisymmetry_and_weight_additivity_box(cfg, sv):
                 assert idx.coords == total.coords
 
 
+def _ad_power(sv, x, m, y):
+    """m-fold left bracket with x, by brackets of whole elements; the
+    reference the stepwise ad-chain certificates are checked against."""
+    out = sv.element(y)
+    for _ in range(m):
+        out = sv.bracket(x, out)
+    return out
+
+
 def test_ad_power_examples(cfg, sv):
     d1, d2 = cfg.var("d1"), cfg.var("d2")
     d = cfg.even((0, 1))
-    mu = cfg.even((1, 0))
     l_mu = sv.element(sv.L((1, 0)))
-    assert sv.ad_power(sv.L(d.coords), 0, l_mu) == l_mu
-    once = sv.ad_power(sv.L(d.coords), 1, l_mu)
+    assert _ad_power(sv, sv.L(d.coords), 0, l_mu) == l_mu
+    once = _ad_power(sv, sv.L(d.coords), 1, l_mu)
     assert once.terms == {sv.L((1, 1)): d1 - d2}
-    twice = sv.ad_power(sv.L(d.coords), 2, l_mu)
+    twice = _ad_power(sv, sv.L(d.coords), 2, l_mu)
     assert twice.terms == {sv.L((1, 2)): (d1 - d2) * d1}
 
 
@@ -163,7 +171,7 @@ def _ladder_by_restart(sv, d, mu, m):
         product = cfg.ctx.one
         for i in range(-1, m - 1):
             product = product * (cfg.embed(start) + cfg.embed(d) * (i + shift))
-        got = sv.ad_power(Symbol("L", d), m, Symbol(letter, start))
+        got = _ad_power(sv, Symbol("L", d), m, Symbol(letter, start))
         ok = ok and got == sv.element(Symbol(letter, start + d.scale(m))).scale(product)
     return ok
 
@@ -178,18 +186,38 @@ class _LadderRungBroken(SuperVirasoro):
         return out
 
 
-@pytest.mark.parametrize("algebra", [SuperVirasoro, _LadderRungBroken])
+class _LadderRungCentral(SuperVirasoro):
+    """The defining bracket with a c term added to [L_{0,1}, L_{1,2}], a
+    step whose indices are far from index 0."""
+
+    def _bracket_basis(self, x, y):
+        out = super()._bracket_basis(x, y)
+        if (x, y) == (self.L((0, 1)), self.L((1, 2))):
+            return out + AlgebraElement({CENTRAL: self.config.scalar(1)})
+        return out
+
+
+# the ladder verdicts for m = 1..6 from L_[1,0] by d = [0,1]; the third
+# step brackets [L_{0,1}, L_{1,2}]
+_RUNGS = {SuperVirasoro: [True] * 6,
+          _LadderRungBroken: [True, True] + [False] * 4,
+          _LadderRungCentral: [True, True, False, True, True, True]}
+
+
+@pytest.mark.parametrize("algebra", list(_RUNGS))
 def test_ladder_checks_extend_one_chain(cfg, algebra):
-    sv = algebra(cfg)
     d, mu = cfg.even((0, 1)), cfg.even((1, 0))
-    expected = [_ladder_by_restart(sv, d, mu, m) for m in range(1, 7)]
+    expected = [_ladder_by_restart(algebra(cfg), d, mu, m) for m in range(1, 7)]
+    assert expected == _RUNGS[algebra]
+    sv = algebra(cfg)
     brackets = []
-    bracket = sv.bracket
-    sv.bracket = lambda x, y: brackets.append(y) or bracket(x, y)
+    bracket = sv._bracket_basis
+    sv._bracket_basis = lambda x, y: brackets.append(y) or bracket(x, y)
     assert list(sv.ladder_checks(d, mu, 6)) == expected
-    assert expected == ([True] * 6 if algebra is SuperVirasoro else [True, True] + [False] * 4)
-    # one bracket per step in each of the L and G chains
-    assert len(brackets) == 2 * 6
+    # one basis bracket per step in each of the L and G chains, and one
+    # [L_d, c] after the step that leaves a c term
+    assert brackets.count(CENTRAL) == (algebra is _LadderRungCentral)
+    assert len(brackets) == 2 * 6 + brackets.count(CENTRAL)
 
 
 def test_ladder_checks_stop_at_the_first_vanishing_factor(cfg, sv):
@@ -253,6 +281,32 @@ def test_bracket_witness_with_sign_flips(cfg, sv):
     first = entries[0]
     assert first.start.coords == (-2, 2)
     assert first.product == -d1
+
+
+class _WitnessStepDoubled(SuperVirasoro):
+    """The defining bracket with the one pair in ``doubled`` doubled."""
+
+    doubled = None
+
+    def _bracket_basis(self, x, y):
+        out = super()._bracket_basis(x, y)
+        return out.scale(self.config.scalar(2)) if (x, y) == self.doubled else out
+
+
+@pytest.mark.parametrize("source", [(2, 3), (3, 6)])
+def test_bracket_witness_flags_a_doubled_chain_step(cfg, source):
+    # mu = [1,3]: row 0 runs L_[2,3] -> L_[3,6] -> L_[4,9], row 1 takes no step
+    sv = _WitnessStepDoubled(cfg)
+    l_mu = sv.L((1, 3))
+    sv.doubled = (l_mu, sv.L(source))
+    adapted, entries, ok = sv.bracket_generation_witness(cfg.even((1, 3)))
+    assert [e.copies for e in entries] == [2, 0]
+    assert [e.bracket_ok for e in entries] == [False, True]
+    assert not ok
+    for row, e in enumerate(entries):
+        target = Symbol("L", adapted.basis.row_vector(row))
+        restart = _ad_power(sv, l_mu, e.copies, Symbol("L", e.start))
+        assert e.bracket_ok == (restart == sv.element(target).scale(e.product))
 
 
 def test_bracket_witness_rank3():

@@ -143,6 +143,16 @@ def test_quotient_command(tmp_path):
                         "in_submodule": True, "dim": 0}]
 
 
+def test_ladder_crossing_index_0_fails_only_that_step(tmp_path, capsys):
+    # step 2 brackets [L_[0,-1], L_[0,1]], whose central term is not on the
+    # ladder; [L_d, c] = 0 removes it again at step 3
+    code, report = run(tmp_path, "ladder", "--m", "3", "--mu", "[0,2]", "--d", "[0,-1]")
+    assert code == 1
+    assert [r["status"] for r in report["results"]] == ["pass", "fail", "pass"]
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "ladder m=1: ok", "ladder m=2: FAILED", "ladder m=3: ok"]
+
+
 def test_ladder_degenerate_specialization(tmp_path, capsys):
     # mu = 0 makes a ladder factor vanish for m >= 2
     code = main(["--output", str(tmp_path / "r.json"),
@@ -541,6 +551,10 @@ _BAD_INPUTS = {
                            _too_many("11,029,041")),
     "ghw-radius-200": (None, ["ghw", "--family", "SA", "--vector", "x[0,0]",
                               "--radius", "200"], _too_many("1,282,401")),
+    # two brackets per ladder step
+    "ladder-m-500001": (None, ["ladder", "--m", "500001"],
+                        "error: this run needs 1,000,002 checks, more than the limit of "
+                        "1,000,000; choose a smaller --m\n"),
     # a count past the interpreter's int-to-str digit limit
     "simplicity-radius-10^3000": (
         None, ["simplicity", "--family", "SA", "--radius", str(10**3000)],
@@ -559,6 +573,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, co
     monkeypatch.chdir(tmp_path)
     for target in ("svir.algebra.SuperVirasoro.super_jacobi_residual",
                    "svir.algebra.SuperVirasoro.bracket_basis",
+                   "svir.algebra.SuperVirasoro._bracket_basis",
                    "svir.repmod.SeriesModule.rep_residual",
                    "svir.repmod.SeriesModule.act",
                    "svir.repmod.SeriesModule._reach"):
