@@ -19,7 +19,7 @@ the residual is reported verbatim; signs are never adjusted silently.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations, combinations_with_replacement, permutations
 from math import prod
 
 from .formal import FormalSum, Symbol, bilinear_terms
@@ -45,6 +45,8 @@ class SuperVirasoro:
     def __init__(self, config: AlgebraConfig):
         self.config = config
         self._pair_cache = {}
+        self._antisym_cache = {}
+        self._two = config.scalar(2)
 
     # -- element builders ------------------------------------------------------
 
@@ -76,7 +78,7 @@ class SuperVirasoro:
         terms = {}
         if x.letter == "L" and y.letter == "L":
             mu, nu = x.index, y.index
-            coeff = embed(nu) - embed(mu)
+            coeff = embed(nu - mu)
             total = mu + nu
             if not coeff.is_zero():
                 terms[Symbol("L", total)] = coeff
@@ -87,18 +89,18 @@ class SuperVirasoro:
                     terms[CENTRAL] = central
         elif x.letter == "L" and y.letter == "G":
             mu, eta = x.index, y.index
-            coeff = embed(eta) - embed(mu) * Fraction(1, 2)
+            coeff = cfg.embed_plus_half(eta, -mu)
             if not coeff.is_zero():
                 terms[Symbol("G", mu + eta)] = coeff
         elif x.letter == "G" and y.letter == "L":
             eta, mu = x.index, y.index
-            coeff = embed(mu) * Fraction(1, 2) - embed(eta)
+            coeff = cfg.embed_plus_half(-eta, mu)
             if not coeff.is_zero():
                 terms[Symbol("G", mu + eta)] = coeff
         else:
             eta, lam = x.index, y.index
             total = eta + lam
-            terms[Symbol("L", total)] = cfg.scalar(2)
+            terms[Symbol("L", total)] = self._two
             if total.is_zero():
                 e = embed(eta)
                 central = -(e ** 2 - Fraction(1, 4)) * Fraction(1, 3)
@@ -137,6 +139,16 @@ class SuperVirasoro:
             bilinear_terms(xy.items(), zs, bb, negate=True),
             bilinear_terms(ys, xz.items(), bb, negate=not (px and py))))
 
+    def antisymmetric(self, x: Symbol, y: Symbol) -> bool:
+        """Whether [y,x] = -(-1)^{|x||y|} [x,y] holds exactly, memoized.  The
+        condition is symmetric in x and y, since (-1)^{|x||y|} squares to 1."""
+        held = self._antisym_cache.get((x, y))
+        if held is None:
+            xy = self.bracket_basis(x, y)
+            held = self.bracket_basis(y, x) == (xy if x.parity and y.parity else -xy)
+            self._antisym_cache[x, y] = self._antisym_cache[y, x] = held
+        return held
+
     def twin_failures(self, residual, elems, thirds):
         """The nonzero residual(x, y, t) over x, y in elems and t in thirds,
         as (x, y, t, residual) in itertools.product order.
@@ -148,7 +160,6 @@ class SuperVirasoro:
         swap of such a pair is derived when that bracket identity holds
         exactly for the pair, and computed directly when it does not.
         """
-        bb = self.bracket_basis
         derived = {}  # (i, j) -> failures of (elems[i], elems[j]), from (j, i)
         for i, x in enumerate(elems):
             for j, y in enumerate(elems):
@@ -156,11 +167,66 @@ class SuperVirasoro:
                 if found is None:
                     found = [(t, r) for t in thirds
                              if not (r := residual(x, y, t)).is_zero()]
-                    odd = x.parity and y.parity
-                    if i < j and bb(y, x) == (bb(x, y) if odd else -bb(x, y)):
+                    if i < j and self.antisymmetric(x, y):
+                        odd = x.parity and y.parity
                         derived[j, i] = [(t, r if odd else -r) for t, r in found]
                 for t, r in found:
                     yield x, y, t, r
+
+    def jacobi_failures(self, elems):
+        """The nonzero super_jacobi_residual(x, y, z) over elems^3, as a list
+        of (x, y, z, residual) in itertools.product order, computed once per
+        multiset {x, y, z} of a closed triple.
+
+        Write e_ab = (-1)^{|a||b|} and A(a,b) for [b,a] = -e_ab [a,b].  Given
+        A(x,y), J(y,x,z) = -e_xy J(x,y,z) (see super_jacobi_residual).  Given
+        A(y,z), A(s,y) for s in supp [x,z] of parity |x|+|z|, and A(z,s) for
+        s in supp [x,y] of parity |x|+|y|, bilinearity gives
+            [x,[z,y]] = -e_yz [x,[y,z]],   [[x,z],y] = -e_xy e_yz [y,[x,z]],
+            [z,[x,y]] = -e_xz e_yz [[x,y],z],
+        so J(x,z,y) = [x,[z,y]] - [[x,z],y] - e_xz [z,[x,y]] = -e_yz J(x,y,z).
+        A triple is closed when A holds on its three pairs and on every
+        (s, w) with s in the support of the bracket of two of them, of their
+        parity sum, and w the third.  Closure is symmetric in the triple (A
+        is symmetric, and A(a,b) gives [a,b] and [b,a] one support), so on a
+        closed triple each swap of adjacent arguments u, v multiplies J
+        by -e_uv, and an ordering's sign is the product of -e_uv over its
+        pairs out of elems order.  Every ordering of a triple that is not
+        closed is computed directly.
+        """
+        residual = self.super_jacobi_residual
+        failures = []  # (positions in elems, x, y, z, residual)
+        for triple in combinations_with_replacement(enumerate(elems), 3):
+            (_, x), (_, y), (_, z) = triple
+            r = residual(x, y, z)
+            closed = self._closed(x, y, z)
+            if closed and r.is_zero():
+                continue
+            for order in dict.fromkeys(permutations(triple)):  # each ordering once
+                (i, u), (j, v), (k, w) = order
+                if not closed and order != triple:
+                    out = residual(u, v, w)
+                elif sum(p > q and not (a.parity and b.parity)
+                         for (p, a), (q, b) in combinations(order, 2)) % 2:
+                    out = -r
+                else:
+                    out = r
+                if not out.is_zero():
+                    failures.append(((i, j, k), u, v, w, out))
+        failures.sort(key=lambda f: f[0])
+        return [f[1:] for f in failures]
+
+    def _closed(self, x, y, z):
+        """Whether the triple is closed, as jacobi_failures defines it."""
+        anti, bb = self.antisymmetric, self.bracket_basis
+        for a, b, w in ((x, y, z), (x, z, y), (y, z, x)):
+            if not anti(a, b):
+                return False
+            parity = a.parity ^ b.parity
+            for s in bb(a, b).terms:
+                if s.parity != parity or not anti(s, w):
+                    return False
+        return True
 
     def ladder_checks(self, d: IndexVector, mu: IndexVector, m: int):
         """Whether the ad-ladder identities hold, for each step 1..m in turn.

@@ -68,8 +68,9 @@ class IndexVector(_Interned):
 
     The index protocol: the bracket and action tables, the symbols and
     FormalSum use an index only through +, -, is_zero(), parity, twice
-    (to order symbols), str, hashing and config.embed.  Another index
-    type, such as a symbolic one, implements exactly that.
+    (to order symbols), str, hashing, config.embed and
+    config.embed_plus_half.  Another index type, such as a symbolic one,
+    implements exactly that.
     """
 
     __slots__ = ("twice", "parity")
@@ -170,13 +171,23 @@ class AlgebraConfig:
 
     def embed(self, v: IndexVector) -> ScalarExpr:
         """Linear embedding sum(c_i * d_i); injective on the half-integer lattice."""
-        cached = self._embed_cache.get(v.twice)
+        return self._embedded(v.twice)
+
+    def embed_plus_half(self, v: IndexVector, w: IndexVector) -> ScalarExpr:
+        """embed(v) + embed(w)/2 for an even w, read from the embed cache: embed
+        is linear, and v + w/2 has integral twice-coordinates."""
+        if w.parity != EVEN:
+            raise ValueError("embed_plus_half halves an even index only")
+        return self._embedded(tuple(a + b // 2 for a, b in zip(v.twice, w.twice)))
+
+    def _embedded(self, twice):
+        cached = self._embed_cache.get(twice)
         if cached is None:
             cached = self.ctx.zero
-            for t, name in zip(v.twice, self.d_names):
+            for t, name in zip(twice, self.d_names):
                 if t:
                     cached = cached + self.ctx.var(name) * Fraction(t, 2)
-            self._embed_cache[v.twice] = cached
+            self._embed_cache[twice] = cached
         return cached
 
     # -- finite boxes ----------------------------------------------------------

@@ -162,9 +162,9 @@ class SeriesModule:
                     if vi.is_zero():
                         coeff = embed(gi) * (embed(gi) + ap)
                     else:
-                        coeff = embed(vi) + embed(gi)
+                        coeff = embed(target)
                 else:
-                    coeff = embed(vi) + embed(gi) * Fraction(1, 2)
+                    coeff = cfg.embed_plus_half(vi, gi)
             else:
                 if v.letter == "x":
                     if vi.is_zero():
@@ -172,12 +172,12 @@ class SeriesModule:
                     else:
                         coeff = cfg.ctx.one
                 else:
-                    coeff = embed(vi) + embed(gi)
+                    coeff = embed(target)
         else:
             ap = self.params["a'"]
             if g.letter == "L":
                 if v.letter == "x":
-                    coeff = embed(vi) + embed(gi) * Fraction(1, 2)
+                    coeff = cfg.embed_plus_half(vi, gi)
                 else:
                     if target.is_zero():
                         coeff = -(embed(gi) * (embed(gi) + ap))

@@ -1,13 +1,15 @@
-"""The fuzz enumeration that derives each swapped pair by graded antisymmetry.
+"""The fuzz enumerations that derive residuals by graded antisymmetry.
 
 ``SuperVirasoro.twin_failures`` computes residual(x, y, t) for the pairs
 x <= y of the box and takes residual(y, x, t) as plus or minus it, but only
-for a pair whose bracket is graded antisymmetric.  ``jacobi-fuzz`` reports
-it for ``super_jacobi_residual``; the twin identity holds for
-``rep_residual`` too, and the tests here check both.  Every test compares
-the enumeration with the brute-force list over ``itertools.product``, on
-the tables as written and on tables broken on purpose, where a wrong sign
-or a missing pair check would change the list.
+for a pair whose bracket is graded antisymmetric.  The twin identity holds
+for ``super_jacobi_residual`` and ``rep_residual``, and the tests here check
+both.  ``SuperVirasoro.jacobi_failures``, which ``jacobi-fuzz`` reports,
+computes one Jacobi residual per multiset {x, y, z} and derives the other
+orderings of a closed triple.  Every test compares an enumeration with the
+brute-force list over ``itertools.product``, on the tables as written and
+on tables broken on purpose, where a wrong sign or a missing pair or
+support check would change the list.
 """
 
 import itertools
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from svir.algebra import SuperVirasoro
+from svir.algebra import AlgebraElement, SuperVirasoro
 from svir.cli import _basis_elements
 from svir.lattice import AlgebraConfig
 from svir.repmod import BoxSpec, Family, SeriesModule
@@ -53,6 +55,16 @@ def _module(config, family, algebra=None, cls=SeriesModule):
     return module
 
 
+def _triples(algebra, elems):
+    """(failures, residual calls) of jacobi_failures."""
+    calls = []
+    algebra.super_jacobi_residual = _counted(algebra.super_jacobi_residual, calls)
+    try:
+        return list(algebra.jacobi_failures(elems)), len(calls)
+    finally:
+        del algebra.super_jacobi_residual
+
+
 def _twins(algebra, residual, elems, thirds):
     """(failures, residual calls) of the derived enumeration."""
     calls = []
@@ -67,6 +79,33 @@ class _OnePairBroken(SuperVirasoro):
         out = super()._bracket_basis(x, y)
         if (x, y) == (self.G((-HALF, -1)), self.G((-HALF, 0))):
             return out.scale(self.config.scalar(2))
+        return out
+
+
+class _OneSupportPairBroken(SuperVirasoro):
+    """The defining bracket, with [L_{2,0}, G_{-1/2,0}] doubled and its swap
+    left alone.  L_{2,0} lies outside the radius-1 box but in the support of
+    [L_{1,1}, L_{1,-1}], so only the support half of the closure check sees
+    that pair."""
+
+    def _bracket_basis(self, x, y):
+        out = super()._bracket_basis(x, y)
+        if (x, y) == (self.L((2, 0)), self.G((-HALF, 0))):
+            return out.scale(self.config.scalar(2))
+        return out
+
+
+class _UngradedPair(SuperVirasoro):
+    """The defining bracket, with G_{1/2,1} added to [L_{1,0}, L_{0,1}] and
+    subtracted from its swap: antisymmetric still, but not graded, since an
+    odd term sits in the bracket of two even elements."""
+
+    def _bracket_basis(self, x, y):
+        out = super()._bracket_basis(x, y)
+        pair = (self.L((1, 0)), self.L((0, 1)))
+        if (x, y) in (pair, pair[::-1]):
+            one = self.config.ctx.one
+            return out + AlgebraElement({self.G((HALF, 1)): one if x is pair[0] else -one})
         return out
 
 
@@ -122,3 +161,39 @@ def test_rep_pair_without_antisymmetry_is_computed_directly(lean_cfg, elems, fam
     failures, calls = _twins(module.algebra, module.rep_residual, elems, vectors)
     assert failures == _brute_force(module.rep_residual, elems, vectors)
     assert (calls, len(failures)) == (2040 + len(vectors), nonzero)
+
+
+def test_jacobi_triples_match_brute_force_on_one_residual_per_multiset(lean_cfg, elems):
+    sv = SuperVirasoro(lean_cfg)
+    failures, calls = _triples(sv, elems)
+    assert failures == _brute_force(sv.super_jacobi_residual, elems, elems)
+    # 816 = C(16 + 2, 3) multisets of 16 elements
+    assert (len(elems) ** 3, calls, len(failures)) == (4096, 816, 66)
+
+
+def test_jacobi_triple_with_a_broken_pair_is_computed_directly(lean_cfg, elems):
+    sv = _OnePairBroken(lean_cfg)
+    failures, calls = _triples(sv, elems)
+    assert failures == _brute_force(sv.super_jacobi_residual, elems, elems)
+    # 16 multisets hold both broken elements and 8 meet the pair in a support;
+    # their other orderings cost 74 and 34 more residuals
+    assert (calls, len(failures)) == (816 + 74 + 34, 127)
+
+
+def test_jacobi_triple_broken_only_in_a_support_is_computed_directly(lean_cfg, elems):
+    sv = _OneSupportPairBroken(lean_cfg)
+    assert all(sv.antisymmetric(x, y) for x, y in itertools.product(elems, repeat=2))
+    failures, calls = _triples(sv, elems)
+    assert failures == _brute_force(sv.super_jacobi_residual, elems, elems)
+    # only {L_{1,-1}, L_{1,1}, G_{-1/2,0}} meets the pair, so its other five
+    # orderings are computed; the two with G last fail
+    assert (calls, len(failures)) == (816 + 5, 66 + 2)
+
+
+def test_jacobi_triple_with_an_ungraded_support_is_computed_directly(lean_cfg, elems):
+    sv = _UngradedPair(lean_cfg)
+    assert all(sv.antisymmetric(x, y) for x, y in itertools.product(elems, repeat=2))
+    failures, calls = _triples(sv, elems)
+    assert failures == _brute_force(sv.super_jacobi_residual, elems, elems)
+    # the 16 multisets holding both L's cost 74 more residuals
+    assert calls == 816 + 74
