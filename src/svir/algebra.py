@@ -117,27 +117,42 @@ class SuperVirasoro:
 
     # -- identity checks ---------------------------------------------------------
 
-    def super_jacobi_residual(self, x, y, z) -> AlgebraElement:
-        """Residual of the graded Leibniz identity on a homogeneous triple.
+    def leibniz_residual(self, u, w, v, act, act_basis, space, message, negate=False):
+        """Residual of the module axiom of an action on a homogeneous pair.
 
-        Returns J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]];
-        zero certifies the identity on that triple.  With e = (-1)^{|x||y|},
-        if [y,x] = -e [x,y] then, by bilinearity and e^2 = 1,
-            J(y,x,z) = [y,[x,z]] - [[y,x],z] - e [x,[y,z]]
-                     = [y,[x,z]] + e [[x,y],z] - e [x,[y,z]] = -e J(x,y,z).
+        act is the action's bilinear extension, act_basis its basis map and
+        space the class of v and of act's images.  Returns
+            R(u,w,v) = act([u,w], v) - act(u, act(w, v)) + e act(w, act(u, v)),
+        e = (-1)^{|u||w|}, negated when negate is set; zero certifies the
+        axiom.  An inhomogeneous algebra argument is an InputError(message);
+        a module vector may mix parities, since R is linear in v.
+
+        Twin rule: if [w,u] = -e [u,w] then, by linearity of act in the
+        generator and e^2 = 1, whatever act is,
+            R(w,u,v) = act([w,u], v) - act(w, act(u, v)) + e act(u, act(w, v))
+                     = -e act([u,w], v) - act(w, act(u, v)) + e act(u, act(w, v))
+                     = -e R(u,w,v).
         """
         one = self.config.ctx.one
-        xs, px = AlgebraElement.homogeneous(x, one)
-        ys, py = AlgebraElement.homogeneous(y, one)
-        zs, pz = AlgebraElement.homogeneous(z, one)
-        if px is None or py is None or pz is None:
-            raise InputError("the Jacobi residual needs homogeneous inputs")
-        yz, xy, xz = self.bracket(y, z), self.bracket(x, y), self.bracket(x, z)
-        bb = self.bracket_basis
-        return AlgebraElement.from_terms(chain(
-            bilinear_terms(xs, yz.items(), bb),
-            bilinear_terms(xy.items(), zs, bb, negate=True),
-            bilinear_terms(ys, xz.items(), bb, negate=not (px and py))))
+        us, pu = AlgebraElement.homogeneous(u, one)
+        ws, pw = AlgebraElement.homogeneous(w, one)
+        vs, pv = space.homogeneous(v, one)
+        if pu is None or pw is None or pv is None and space is AlgebraElement:
+            raise InputError(message)
+        uw, wv, uv = self.bracket(u, w), act(w, v), act(u, v)
+        return space.from_terms(chain(
+            bilinear_terms(uw.items(), vs, act_basis, negate=negate),
+            bilinear_terms(us, wv.items(), act_basis, negate=not negate),
+            bilinear_terms(ws, uv.items(), act_basis, negate=bool(pu and pw) != negate)))
+
+    def super_jacobi_residual(self, x, y, z) -> AlgebraElement:
+        """J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]], the graded
+        Jacobi residual on a homogeneous triple: -R(x,y,z) for the adjoint
+        action in leibniz_residual, twin rule included."""
+        return self.leibniz_residual(x, y, z, self.bracket, self.bracket_basis,
+                                     AlgebraElement,
+                                     "the Jacobi residual needs homogeneous inputs",
+                                     negate=True)
 
     def antisymmetric(self, x: Symbol, y: Symbol) -> bool:
         """Whether [y,x] = -(-1)^{|x||y|} [x,y] holds exactly, memoized.  The
@@ -153,9 +168,9 @@ class SuperVirasoro:
         """The nonzero residual(x, y, t) over x, y in elems and t in thirds,
         as (x, y, t, residual) in itertools.product order.
 
-        residual is super_jacobi_residual or a module's rep_residual: both
-        satisfy residual(y, x, t) = -(-1)^{|x||y|} residual(x, y, t) for
-        every t once [y,x] = -(-1)^{|x||y|} [x,y] (see their docstrings).
+        residual is super_jacobi_residual or a module's rep_residual, whose
+        twin rule leibniz_residual proves: residual(y, x, t) =
+        -(-1)^{|x||y|} residual(x, y, t) for every t once [y,x] = -(-1)^{|x||y|} [x,y].
         So residual runs on the pairs with x at or before y in elems; the
         swap of such a pair is derived when that bracket identity holds
         exactly for the pair, and computed directly when it does not.
@@ -179,7 +194,7 @@ class SuperVirasoro:
         multiset {x, y, z} of a closed triple.
 
         Write e_ab = (-1)^{|a||b|} and A(a,b) for [b,a] = -e_ab [a,b].  Given
-        A(x,y), J(y,x,z) = -e_xy J(x,y,z) (see super_jacobi_residual).  Given
+        A(x,y), J(y,x,z) = -e_xy J(x,y,z) (see leibniz_residual).  Given
         A(y,z), A(s,y) for s in supp [x,z] of parity |x|+|z|, and A(z,s) for
         s in supp [x,y] of parity |x|+|y|, bilinearity gives
             [x,[z,y]] = -e_yz [x,[y,z]],   [[x,z],y] = -e_xy e_yz [y,[x,z]],

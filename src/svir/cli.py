@@ -40,6 +40,8 @@ _BOX_NOTE = ("box-level evidence only: operators leaving the box are not "
 _CONFIG_TYPES = {"n": int, "d_names": list, "sigma": list, "extra_names": list,
                  "family": str, "params": dict, "output": str}
 _TYPE_NAMES = {int: "an integer", list: "a list", str: "a string", dict: "an object"}
+# every config key: the typed ones and radius, which resolve_radius reads as text
+_CONFIG_KEYS = (*_CONFIG_TYPES, "radius")
 
 
 class Session:
@@ -49,6 +51,10 @@ class Session:
     def __init__(self, raw: dict, family=None):
         if not isinstance(raw, dict):
             raise InputError("the configuration must be a JSON object")
+        for key in raw:
+            if key not in _CONFIG_KEYS:
+                raise InputError(f"config key {key!r} is unknown; the keys are "
+                                 f"{', '.join(_CONFIG_KEYS)}")
         raw = {k: v for k, v in raw.items() if v is not None}
         for key, kind in _CONFIG_TYPES.items():
             value = raw.get(key)
@@ -278,6 +284,9 @@ def cmd_ladder(session, args):
         raise InputError(f"--m {args.m} checks no ladder step; it must be at least 1")
     _limit_checks(2 * args.m, "--m")  # one bracket per step in each of two chains
     config = session.config
+    if config.n == 1 and not (args.mu or args.d):
+        raise InputError("at rank 1 the default --mu and --d are both e1, so the first "
+                         "ladder factor mu - d vanishes; give --mu or --d")
     mu = parse_index(config, args.mu) if args.mu else config.unit(0)
     d = parse_index(config, args.d) if args.d else config.unit(config.n - 1)
     sv = SuperVirasoro(config)

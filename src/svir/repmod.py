@@ -33,10 +33,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 
 from .algebra import AlgebraElement, SuperVirasoro
-from .formal import FormalSum, Symbol, bilinear_terms
+from .formal import FormalSum, Symbol
 from .lattice import (EVEN, ODD, PARITY_NAMES, AlgebraConfig, ConeSpec, IndexVector,
                       LatticeBasis, _Frozen, cone_member, unimodular_det)
 from .scalar import InputError, ScalarExpr, as_fraction
@@ -203,28 +202,12 @@ class SeriesModule:
                                      self.act_basis)
 
     def rep_residual(self, u, w, v) -> ModuleVector:
-        """Module-axiom residual on a homogeneous generator pair.
-
-        Returns R(u,w,v) = act([u,w], v) - act(u, act(w, v))
-        + (-1)^{|u||w|} act(w, act(u, v)); zero certifies the axiom.  With
-        e = (-1)^{|u||w|}, if [w,u] = -e [u,w] then, by linearity of act in
-        the generator and e^2 = 1, whatever the action table,
-            R(w,u,v) = act([w,u], v) - act(w, act(u, v)) + e act(u, act(w, v))
-                     = -e act([u,w], v) - act(w, act(u, v)) + e act(u, act(w, v))
-                     = -e R(u,w,v).
-        """
-        one = self.config.ctx.one
-        us, pu = AlgebraElement.homogeneous(u, one)
-        ws, pw = AlgebraElement.homogeneous(w, one)
-        vs, _ = ModuleVector.homogeneous(v, one)  # its parity is checked by act below
-        if pu is None or pw is None:
-            raise InputError("the module axiom check needs homogeneous generators")
-        uw, wv, uv = self.algebra.bracket(u, w), self.act(w, v), self.act(u, v)
-        ab = self.act_basis
-        return ModuleVector.from_terms(chain(
-            bilinear_terms(uw.items(), vs, ab),
-            bilinear_terms(us, wv.items(), ab, negate=True),
-            bilinear_terms(ws, uv.items(), ab, negate=bool(pu and pw))))
+        """R(u,w,v) = act([u,w], v) - act(u, act(w, v)) + (-1)^{|u||w|} act(w, act(u, v)),
+        the module-axiom residual on a homogeneous generator pair: the
+        algebra's leibniz_residual for this action, twin rule included."""
+        return self.algebra.leibniz_residual(
+            u, w, v, self.act, self.act_basis, ModuleVector,
+            "the module axiom check needs homogeneous generators")
 
     def weight_of(self, v: Symbol) -> ScalarExpr:
         """Eigenvalue of L_0 on v."""

@@ -493,6 +493,16 @@ _BAD_INPUTS = {
                         ["rep-fuzz", "--radius", "1/2", "--vector-radius", "1"],
                         "error: config 'params' names 'A', which no family declares; "
                         "the parameters are a, b, a'\n"),
+    "config-key-typos": ({"d_name": ["p", "q"], "sigmaa": ["1/2", "0"]},
+                         ["bracket", "L[1,0]", "L[-1,0]"],
+                         "error: config key 'd_name' is unknown; the keys are n, d_names, "
+                         "sigma, extra_names, family, params, output, radius\n"),
+    "null-config-key-typo": ({"famliy": None}, _BRACKET,
+                             "error: config key 'famliy' is unknown; the keys are n, "
+                             "d_names, sigma, extra_names, family, params, output, radius\n"),
+    "rank-1-ladder-defaults": ({"n": 1}, ["ladder", "--m", "3"],
+                               "error: at rank 1 the default --mu and --d are both e1, so "
+                               "the first ladder factor mu - d vanishes; give --mu or --d\n"),
     "rank-1-cone-basis": ({"n": 1}, ["cone-basis", "--k", "1"],
                           "error: rank must be at least 2\n"),
     "unknown-family": (None, ["simplicity", "--family", "SC"],
