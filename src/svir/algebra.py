@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, permutations
-from math import prod
 
 from .formal import FormalSum, Symbol, bilinear_terms
 from .lattice import EVEN, AlgebraConfig, IndexVector, _Frozen, adapted_cone_basis
-from .scalar import InputError, ScalarExpr
+from .scalar import InputError
 
 CENTRAL = Symbol("c", None)
 
@@ -311,6 +310,7 @@ class SuperVirasoro:
         with coordinates in {-1, 0, 1}, by applying ad L_mu a recorded
         number of times; _ad_steps certifies the result as the product of
         the step factors (the empty product is 1) times the row's generator.
+        Each entry keeps the factors it checked, unexpanded.
         Returns (adapted basis, one WitnessEntry per row, verdict).
         """
         cfg = self.config
@@ -320,23 +320,23 @@ class SuperVirasoro:
         entries = []
         for row, (step, copies) in enumerate(adapted.chains):
             start, e_step = mu + step, cfg.embed(step)
-            factors = [e_mu * t + e_step for t in range(copies)]
+            factors = tuple(e_mu * t + e_step for t in range(copies))
             *_, (last, held) = self._ad_steps(l_mu, Symbol("L", start), factors,
                                               "a witness product factor vanished")
-            product = prod(factors, start=cfg.ctx.one)
             bracket_ok = held and last == Symbol("L", adapted.basis.row_vector(row))
             in_a = all(abs(t) <= 2 for t in step.twice)
-            entries.append(WitnessEntry(row, start, copies, product, step, in_a, bracket_ok))
+            entries.append(WitnessEntry(row, start, copies, factors, step, in_a, bracket_ok))
         ok = all(e.step_in_neighborhood and e.bracket_ok for e in entries)
         return adapted, tuple(entries), ok
 
 
 class WitnessEntry(_Frozen):
-    """One adapted-basis row reached from L_start by copies ad L_mu steps."""
+    """One adapted-basis row reached from L_start by copies ad L_mu steps,
+    with the step factors whose product scales the row's generator."""
 
-    __slots__ = ("row", "start", "copies", "product", "step", "step_in_neighborhood",
+    __slots__ = ("row", "start", "copies", "factors", "step", "step_in_neighborhood",
                  "bracket_ok")
 
-    def __init__(self, row: int, start: IndexVector, copies: int, product: ScalarExpr,
+    def __init__(self, row: int, start: IndexVector, copies: int, factors: tuple,
                  step: IndexVector, step_in_neighborhood: bool, bracket_ok: bool):
-        self._set(row, start, copies, product, step, step_in_neighborhood, bracket_ok)
+        self._set(row, start, copies, factors, step, step_in_neighborhood, bracket_ok)

@@ -22,7 +22,8 @@ from decimal import Decimal
 from .algebra import AlgebraElement, CENTRAL, SuperVirasoro
 from .formal import Symbol
 from .lattice import (EVEN, ODD, PARITY_NAMES, AlgebraConfig, LatticeBasis,
-                      cone_inclusion_check, iso_check, nested_cone_basis, unimodular_det)
+                      adapted_cone_basis, cone_inclusion_check, iso_check,
+                      nested_cone_basis, unimodular_det)
 from .parse import (parse_element, parse_index, parse_rational,
                     parse_rational_matrix, parse_rational_vector, parse_scalar)
 from .repmod import BoxSpec, Family, ModuleVector, SeriesModule
@@ -139,6 +140,14 @@ def _limit_checks(checks, knob="radius"):
                          f"of {MAX_CHECKS:,}; choose a smaller {knob}")
 
 
+def _product(factors):
+    """A product of scalars as the scalar grammar reads it back: 1 for none,
+    the factor itself for one, and (f1)*(f2)*... for more."""
+    if len(factors) == 1:
+        return str(factors[0])
+    return "*".join(f"({f})" for f in factors) or "1"
+
+
 def _family_fields(module):
     """Report fields of a module: its family, parameters and specialized ones."""
     params = module.params
@@ -221,13 +230,8 @@ def cmd_rep_fuzz(session, args):
                   * _box_size(session.config, vradius))
     elems = _basis_elements(session.config, radius)
     vectors = module.basis_in_box(BoxSpec(vradius))
-    failures = []
-    for u, w in itertools.product(elems, repeat=2):
-        for v in vectors:
-            residual = module.rep_residual(u, w, v)
-            if not residual.is_zero():
-                failures.append({"u": str(u), "w": str(w), "v": str(v),
-                                 "residual": str(residual)})
+    failures = [{"u": str(u), "w": str(w), "v": str(v), "residual": str(r)}
+                for u, w, v, r in module.rep_failures(elems, vectors)]
     checked = len(elems) ** 2 * len(vectors)
     status = "fail" if failures else "pass"
     results = [{"check": "rep_axiom", "status": status, **_family_fields(module),
@@ -257,6 +261,8 @@ def cmd_cone_basis(session, args):
 
 def cmd_adapted_basis(session, args):
     mu = parse_index(session.config, args.mu)
+    # one bracket per ad L_mu step of each row
+    _limit_checks(sum(copies for _, copies in adapted_cone_basis(mu).chains), "--mu")
     sv = SuperVirasoro(session.config)
     adapted, entries, ok = sv.bracket_generation_witness(mu)
     det = unimodular_det(adapted.basis)
@@ -268,14 +274,14 @@ def cmd_adapted_basis(session, args):
                                   "permutation": list(adapted.permutation),
                                   "det": det},
                 "entries": [{"row": e.row, "start": str(e.start), "copies": e.copies,
-                             "product": str(e.product), "step": str(e.step),
+                             "product": _product(e.factors), "step": str(e.step),
                              "step_in_neighborhood": e.step_in_neighborhood,
                              "bracket_ok": e.bracket_ok} for e in entries]}]
     lines = [f"adapted-basis mu={mu}: case {adapted.case}, det={det}, "
              f"witness {'verified' if ok else 'FAILED'}"]
     for e in entries:
         lines.append(f"  row {e.row}: {e.copies} bracket steps from L{e.start}, "
-                     f"scalar {e.product}")
+                     f"scalar {_product(e.factors)}")
     return results, lines
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 
 from .algebra import AlgebraElement, SuperVirasoro
 from .formal import FormalSum, Symbol
@@ -208,6 +209,13 @@ class SeriesModule:
         return self.algebra.leibniz_residual(
             u, w, v, self.act, self.act_basis, ModuleVector,
             "the module axiom check needs homogeneous generators")
+
+    def rep_failures(self, elems, vectors):
+        """The nonzero rep_residual(u, w, v) over u, w in elems and v in vectors,
+        as a list of (u, w, v, residual) in itertools.product order, from one
+        rep_residual call per check."""
+        return [(u, w, v, r) for u, w in product(elems, repeat=2) for v in vectors
+                if not (r := self.rep_residual(u, w, v)).is_zero()]
 
     def weight_of(self, v: Symbol) -> ScalarExpr:
         """Eigenvalue of L_0 on v."""

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,7 +247,7 @@ def test_bracket_witness_single_step(cfg, sv):
     first = entries[0]
     assert first.copies == 1
     assert first.start.coords == (2, 2)
-    assert first.product == d1
+    assert prod(first.factors, start=cfg.ctx.one) == d1
     # the one-step bracket itself: [L_mu, L_{mu+d1}] = d1 L_(3,4)
     step = sv.bracket(sv.L((1, 2)), sv.L((2, 2)))
     assert step.terms == {sv.L((3, 4)): d1}
@@ -256,7 +257,7 @@ def test_bracket_witness_empty_product(cfg, sv):
     _, entries, ok = sv.bracket_generation_witness(cfg.even((1, 1)))
     assert ok
     assert entries[0].copies == 0
-    assert entries[0].product == cfg.ctx.one
+    assert prod(entries[0].factors, start=cfg.ctx.one) == cfg.ctx.one
 
 
 def test_bracket_witness_some_zero_membership(cfg, sv):
@@ -280,7 +281,7 @@ def test_bracket_witness_with_sign_flips(cfg, sv):
     assert adapted.sign_flips == (-1, 1)
     first = entries[0]
     assert first.start.coords == (-2, 2)
-    assert first.product == -d1
+    assert prod(first.factors, start=cfg.ctx.one) == -d1
 
 
 class _WitnessStepDoubled(SuperVirasoro):
@@ -306,7 +307,8 @@ def test_bracket_witness_flags_a_doubled_chain_step(cfg, source):
     for row, e in enumerate(entries):
         target = Symbol("L", adapted.basis.row_vector(row))
         restart = _ad_power(sv, l_mu, e.copies, Symbol("L", e.start))
-        assert e.bracket_ok == (restart == sv.element(target).scale(e.product))
+        product = prod(e.factors, start=cfg.ctx.one)
+        assert e.bracket_ok == (restart == sv.element(target).scale(product))
 
 
 def test_bracket_witness_rank3():
@@ -319,7 +321,7 @@ def test_bracket_witness_rank3():
     third = entries[2]
     assert third.start.coords == (2, 2, 4)
     assert third.copies == 1
-    assert third.product == cfg3.var("d1") + cfg3.var("d3")
+    assert prod(third.factors, start=cfg3.ctx.one) == cfg3.var("d1") + cfg3.var("d3")
     for coords in itertools.product(range(-2, 3), repeat=3):
         assert sv3.bracket_generation_witness(cfg3.even(coords))[2], coords
 

@@ -3,12 +3,15 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from math import prod
 from pathlib import Path
 
 import pytest
 
 import svir
+from svir.algebra import SuperVirasoro
 from svir.cli import Session, main
+from svir.parse import parse_scalar
 
 
 def run(tmp_path, *argv, name="report.json"):
@@ -90,14 +93,34 @@ def test_adapted_basis_command(tmp_path):
     (["adapted-basis", "--mu", "[1,2000]"], "witness verified"),
 ])
 def test_results_past_the_int_digit_limit_are_printed(tmp_path, capsys, argv, needle):
-    """Coefficients longer than sys.get_int_max_str_digits() still print."""
+    """Coefficients longer than sys.get_int_max_str_digits() still print.  The
+    [1,2000] witness product, once expanded past that length, prints as its
+    1,999 step factors."""
     code, report = run(tmp_path, *argv)
     assert code == 0 and report["passed"] is True
-    assert needle in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert needle in out
     printed = report["results"][0]
-    longest = (printed["result"] if argv[0] == "bracket"
-               else max((e["product"] for e in printed["entries"]), key=len))
-    assert len(longest) > sys.get_int_max_str_digits()
+    if argv[0] == "bracket":
+        assert len(printed["result"]) > sys.get_int_max_str_digits()
+    else:
+        row = printed["entries"][0]
+        assert row["copies"] == 1999
+        assert len(row["product"][1:-1].split(")*(")) == 1999
+        assert f"scalar {row['product']}\n" in out
+
+
+def test_a_witness_product_of_several_factors_parses_back(tmp_path, capsys):
+    code, report = run(tmp_path, "adapted-basis", "--mu", "[1,5]")
+    assert code == 0
+    config = Session({}).config
+    _, entries, _ = SuperVirasoro(config).bracket_generation_witness(config.even((1, 5)))
+    factors = entries[0].factors
+    text = report["results"][0]["entries"][0]["product"]
+    assert text == "(d1)*(2*d1 + 5*d2)*(3*d1 + 10*d2)*(4*d1 + 15*d2)"
+    assert len(factors) == 4
+    assert parse_scalar(config.ctx, text) == prod(factors, start=config.ctx.one)
+    assert f"row 0: 4 bracket steps from L[2,5], scalar {text}\n" in capsys.readouterr().out
 
 
 def test_ladder_command(tmp_path):
@@ -565,6 +588,10 @@ _BAD_INPUTS = {
     "ladder-m-500001": (None, ["ladder", "--m", "500001"],
                         "error: this run needs 1,000,002 checks, more than the limit of "
                         "1,000,000; choose a smaller --m\n"),
+    # one bracket per ad L_mu step: 1,999,999 for row 0, none for row 1
+    "adapted-basis-mu-2000000": (None, ["adapted-basis", "--mu", "[1,2000000]"],
+                                 "error: this run needs 1,999,999 checks, more than the "
+                                 "limit of 1,000,000; choose a smaller --mu\n"),
     # a count past the interpreter's int-to-str digit limit
     "simplicity-radius-10^3000": (
         None, ["simplicity", "--family", "SA", "--radius", str(10**3000)],

@@ -6,10 +6,12 @@ for a pair whose bracket is graded antisymmetric.  The twin identity holds
 for ``super_jacobi_residual`` and ``rep_residual``, and the tests here check
 both.  ``SuperVirasoro.jacobi_failures``, which ``jacobi-fuzz`` reports,
 computes one Jacobi residual per multiset {x, y, z} and derives the other
-orderings of a closed triple.  Every test compares an enumeration with the
-brute-force list over ``itertools.product``, on the tables as written and
-on tables broken on purpose, where a wrong sign or a missing pair or
-support check would change the list.
+orderings of a closed triple.  ``SeriesModule.rep_failures``, which
+``rep-fuzz`` reports, still computes one residual per check.  Every test
+compares an enumeration with the brute-force list over
+``itertools.product``, on the tables as written and on tables broken on
+purpose, where a wrong sign or a missing pair or support check would
+change the list.
 """
 
 import itertools
@@ -141,6 +143,21 @@ def test_rep_twins_need_nothing_from_the_action_table(lean_cfg, elems):
     failures, calls = _twins(module.algebra, module.rep_residual, elems, vectors)
     assert failures == _brute_force(module.rep_residual, elems, vectors)
     assert (calls, len(failures)) == (2040, 516)
+
+
+@pytest.mark.parametrize("table, nonzero", [(SeriesModule, (0, 0, 0)),
+                                            (_DoubledGOnX, (540, 502, 516))],
+                         ids=["as written", "G on x doubled"])
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_rep_failures_match_brute_force_one_residual_per_check(lean_cfg, elems, family,
+                                                               table, nonzero):
+    module = _module(lean_cfg, family, cls=table)
+    vectors = module.basis_in_box(BoxSpec(1))
+    expected = _brute_force(module.rep_residual, elems, vectors)
+    calls = []
+    module.rep_residual = _counted(module.rep_residual, calls)
+    assert module.rep_failures(elems, vectors) == expected
+    assert (len(calls), len(expected)) == (3840, nonzero[list(Family).index(family)])
 
 
 def test_jacobi_pair_without_antisymmetry_is_computed_directly(lean_cfg, elems):
