@@ -70,7 +70,8 @@ class IndexVector(_Interned):
     FormalSum use an index only through +, -, is_zero(), parity, twice
     (to order symbols), str, hashing, config.embed and
     config.embed_plus_half.  Another index type, such as a symbolic one,
-    implements exactly that.
+    implements exactly that; its twice may hold any rationals, and both
+    embeddings are exact on them.
     """
 
     __slots__ = ("twice", "parity")
@@ -133,7 +134,6 @@ class AlgebraConfig:
         self.d_names = d_names
         self.sigma_index = IndexVector(tuple(int(t) for t in twice), ODD)
         self.ctx = ScalarContext(d_names + tuple(extra_names))
-        self._embed_cache = {}
 
     # -- index construction -------------------------------------------------
 
@@ -171,24 +171,11 @@ class AlgebraConfig:
 
     def embed(self, v: IndexVector) -> ScalarExpr:
         """Linear embedding sum(c_i * d_i); injective on the half-integer lattice."""
-        return self._embedded(v.twice)
+        return self.ctx.linear(v.twice, 2)
 
     def embed_plus_half(self, v: IndexVector, w: IndexVector) -> ScalarExpr:
-        """embed(v) + embed(w)/2 for an even w, read from the embed cache: embed
-        is linear, and v + w/2 has integral twice-coordinates."""
-        if w.parity != EVEN:
-            raise ValueError("embed_plus_half halves an even index only")
-        return self._embedded(tuple(a + b // 2 for a, b in zip(v.twice, w.twice)))
-
-    def _embedded(self, twice):
-        cached = self._embed_cache.get(twice)
-        if cached is None:
-            cached = self.ctx.zero
-            for t, name in zip(twice, self.d_names):
-                if t:
-                    cached = cached + self.ctx.var(name) * Fraction(t, 2)
-            self._embed_cache[twice] = cached
-        return cached
+        """embed(v) + embed(w)/2, exact for any coordinates: embed is linear."""
+        return self.ctx.linear([2 * a + b for a, b in zip(v.twice, w.twice)], 4)
 
     # -- finite boxes ----------------------------------------------------------
 

@@ -89,11 +89,6 @@ class PolyExact:
             return cls({})
         return cls({(0,) * nvars: value.numerator}, value.denominator)
 
-    @classmethod
-    def variable(cls, index, nvars):
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls({exps: 1})
-
     def is_zero(self):
         return not self.terms
 
@@ -430,7 +425,8 @@ def _linear_root(p):
     v = next(i for i, e in enumerate(lead) if e)
     if lead[v] != k:
         return None
-    root = PolyExact.variable(v, len(lead)).add(_coeff_in(p, v, k - 1).scale(Fraction(1, k)))
+    unit = tuple(int(i == v) for i in range(len(lead)))
+    root = PolyExact({unit: 1}).add(_coeff_in(p, v, k - 1).scale(Fraction(1, k)))
     if _total_degree(root) != 1 or _poly_pow(root, k) != p:
         return None
     return root
@@ -473,6 +469,7 @@ class ScalarContext:
                 raise InputError(f"invalid indeterminate name {name!r}")
         self.names = names
         self._by_name = {n: i for i, n in enumerate(names)}
+        self._units = [(0,) * i + (1,) + (0,) * (len(names) - i - 1) for i in range(len(names))]
         self._base = []
         self._by_poly = {}       # monic polynomial -> its _Den
         self._by_factors = {}    # (exps, rest) -> _Den
@@ -489,14 +486,27 @@ class ScalarContext:
     def var(self, name) -> "ScalarExpr":
         if name not in self._by_name:
             raise KeyError(f"unknown indeterminate {name!r}; the session declares {self.names}")
-        poly = PolyExact.variable(self._by_name[name], self.nvars)
-        return ScalarExpr(self, poly, self._poly_one)
+        return self.linear(self._units[self._by_name[name]], 1)
 
     def scalar(self, value) -> "ScalarExpr":
         value = as_fraction(value)
         if not value:
             return self.zero
         return ScalarExpr(self, PolyExact.constant(value, self.nvars), self._poly_one)
+
+    def linear(self, coeffs, den) -> "ScalarExpr":
+        """sum(coeffs[i] * t_i) / den over the first len(coeffs) indeterminates, as one
+        integer polynomial over one denominator; ints or Fractions over a positive int."""
+        terms, scale = {}, 1
+        for unit, c in zip(self._units, coeffs):
+            if c:
+                terms[unit] = c.numerator if c.denominator == 1 else c
+                scale = lcm(scale, c.denominator)
+        if not terms:
+            return self.zero
+        if scale != 1:
+            terms = {unit: int(c * scale) for unit, c in terms.items()}
+        return ScalarExpr(self, _canonical(terms, den * scale), self._poly_one)
 
     # -- denominators -----------------------------------------------------------
 

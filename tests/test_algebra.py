@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -228,6 +230,24 @@ def test_ladder_checks_stop_at_the_first_vanishing_factor(cfg, sv):
     assert [next(steps) for _ in range(3)] == [True] * 3
     with pytest.raises(InputError, match="degenerate specialization"):
         next(steps)
+
+
+def test_a_long_ladder_retains_only_its_interned_symbols():
+    # a fresh config, so what the chain leaves behind is what the config
+    # and the intern tables keep; the steps reach indices no other test uses
+    cfg = AlgebraConfig(2, ("d1", "d2"), (HALF, 0))
+    sv = SuperVirasoro(cfg)
+    d, mu, m = cfg.even((0, 1)), cfg.even((3, -1)), 2000
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        assert all(sv.ladder_checks(d, mu, m))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / m < 1200, f"{retained / m:.0f} bytes per step"
 
 
 def test_ladder_validates_parities(cfg, sv):

@@ -1,9 +1,9 @@
-"""The table coefficients read from the embed cache equal the arithmetic on
-linear forms they replace.
+"""The table coefficients built as one linear form each equal the arithmetic
+on embedded indices they replace.
 
 ``_bracket_basis`` reads [L_mu, L_nu] as embed(nu - mu) and [L, G], [G, L]
-through ``AlgebraConfig.embed_plus_half``; ``_act_basis`` does the same for
-its linear entries.  The references here build every coefficient the old
+through ``AlgebraConfig.embed_plus_half``, both one ``ScalarContext.linear``
+call; ``_act_basis`` does the same for its linear entries.  The references here build every coefficient the old
 way, as ScalarExpr arithmetic on embed(index) values, and every bracket
 pair and action pair at radius 2 must agree, in all three families, with
 symbolic and with rational parameters.

@@ -99,6 +99,21 @@ def test_unknown_indeterminate(ctx):
         ctx.var("q")
 
 
+@given(st.lists(st.integers(-9, 9) | st.fractions(max_denominator=9), max_size=4),
+       st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_linear_is_the_sum_it_names(coeffs, den):
+    ctx = ScalarContext(("d1", "d2", "a", "b"))
+    want = ctx.zero
+    for c, name in zip(coeffs, ctx.names):
+        want = want + ctx.var(name) * c
+    got = ctx.linear(coeffs, den)
+    assert got == want / den
+    assert not any(type(c) is not int for c in got.num.terms.values())
+    if want.is_zero():
+        assert got is ctx.zero
+
+
 def test_context_rejects_duplicates_and_bad_names():
     with pytest.raises(ValueError):
         ScalarContext(("d1", "d1"))
