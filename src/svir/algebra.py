@@ -163,30 +163,6 @@ class SuperVirasoro:
             self._antisym_cache[x, y] = self._antisym_cache[y, x] = held
         return held
 
-    def twin_failures(self, residual, elems, thirds):
-        """The nonzero residual(x, y, t) over x, y in elems and t in thirds,
-        as (x, y, t, residual) in itertools.product order.
-
-        residual is super_jacobi_residual or a module's rep_residual, whose
-        twin rule leibniz_residual proves: residual(y, x, t) =
-        -(-1)^{|x||y|} residual(x, y, t) for every t once [y,x] = -(-1)^{|x||y|} [x,y].
-        So residual runs on the pairs with x at or before y in elems; the
-        swap of such a pair is derived when that bracket identity holds
-        exactly for the pair, and computed directly when it does not.
-        """
-        derived = {}  # (i, j) -> failures of (elems[i], elems[j]), from (j, i)
-        for i, x in enumerate(elems):
-            for j, y in enumerate(elems):
-                found = derived.pop((i, j), None)
-                if found is None:
-                    found = [(t, r) for t in thirds
-                             if not (r := residual(x, y, t)).is_zero()]
-                    if i < j and self.antisymmetric(x, y):
-                        odd = x.parity and y.parity
-                        derived[j, i] = [(t, r if odd else -r) for t, r in found]
-                for t, r in found:
-                    yield x, y, t, r
-
     def jacobi_failures(self, elems):
         """The nonzero super_jacobi_residual(x, y, z) over elems^3, as a list
         of (x, y, z, residual) in itertools.product order, computed once per

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 
 from .algebra import AlgebraElement, SuperVirasoro
 from .formal import FormalSum, Symbol
@@ -95,6 +95,7 @@ class SeriesModule:
         self.algebra = SuperVirasoro(config)
         self._act_cache = {}
         self._edge_cache = {}
+        self._twin = None  # (w, u, v, R(w,u,v)) kept by the last rep_residual call
 
     # -- basis vectors ---------------------------------------------------------
 
@@ -205,17 +206,38 @@ class SeriesModule:
     def rep_residual(self, u, w, v) -> ModuleVector:
         """R(u,w,v) = act([u,w], v) - act(u, act(w, v)) + (-1)^{|u||w|} act(w, act(u, v)),
         the module-axiom residual on a homogeneous generator pair: the
-        algebra's leibniz_residual for this action, twin rule included."""
-        return self.algebra.leibniz_residual(
+        algebra's leibniz_residual for this action, twin rule included.
+        One slot keeps the twin R(w,u,v) = -(-1)^{|u||w|} R(u,w,v) when u, w
+        are distinct algebra basis symbols with antisymmetric(u, w) and v is a
+        module basis symbol; the next call returns it if it is exactly
+        (w, u, v).  Every other call computes, product-order callers included."""
+        twin, self._twin = self._twin, None
+        if twin is not None and twin[0] is u and twin[1] is w and twin[2] is v:
+            return twin[3]
+        r = self.algebra.leibniz_residual(
             u, w, v, self.act, self.act_basis, ModuleVector,
             "the module axiom check needs homogeneous generators")
+        if (u is not w and AlgebraElement.owns(u) and AlgebraElement.owns(w)
+                and ModuleVector.owns(v) and self.algebra.antisymmetric(u, w)):
+            self._twin = (w, u, v, r if u.parity and w.parity or r.is_zero() else -r)
+        return r
 
     def rep_failures(self, elems, vectors):
         """The nonzero rep_residual(u, w, v) over u, w in elems and v in vectors,
         as a list of (u, w, v, residual) in itertools.product order, from one
-        rep_residual call per check."""
-        return [(u, w, v, r) for u, w in product(elems, repeat=2) for v in vectors
-                if not (r := self.rep_residual(u, w, v)).is_zero()]
+        rep_residual call per check.  The checks are asked pair by pair,
+        (u, w, v) right before (w, u, v), so rep_residual answers the second
+        from its twin slot wherever the twin rule holds: one Leibniz residual
+        per unordered pair and v."""
+        failures = []  # ((i, j, k), u, w, v, residual)
+        for (i, u), (j, w) in combinations_with_replacement(enumerate(elems), 2):
+            orders = ((i, u, j, w),) if i == j else ((i, u, j, w), (j, w, i, u))
+            for k, v in enumerate(vectors):
+                for p, a, q, b in orders:
+                    if not (r := self.rep_residual(a, b, v)).is_zero():
+                        failures.append(((p, q, k), a, b, v, r))
+        failures.sort(key=lambda f: f[0])
+        return [f[1:] for f in failures]
 
     def weight_of(self, v: Symbol) -> ScalarExpr:
         """Eigenvalue of L_0 on v."""

@@ -1,17 +1,20 @@
 """The fuzz enumerations that derive residuals by graded antisymmetry.
 
-``SuperVirasoro.twin_failures`` computes residual(x, y, t) for the pairs
-x <= y of the box and takes residual(y, x, t) as plus or minus it, but only
-for a pair whose bracket is graded antisymmetric.  The twin identity holds
-for ``super_jacobi_residual`` and ``rep_residual``, and the tests here check
-both.  ``SuperVirasoro.jacobi_failures``, which ``jacobi-fuzz`` reports,
-computes one Jacobi residual per multiset {x, y, z} and derives the other
-orderings of a closed triple.  ``SeriesModule.rep_failures``, which
-``rep-fuzz`` reports, still computes one residual per check.  Every test
-compares an enumeration with the brute-force list over
-``itertools.product``, on the tables as written and on tables broken on
-purpose, where a wrong sign or a missing pair or support check would
-change the list.
+``_twin_failures`` below is a reference enumeration: it computes
+residual(x, y, t) for the pairs x <= y of the box and takes
+residual(y, x, t) as plus or minus it, but only for a pair whose bracket is
+graded antisymmetric.  The twin identity holds for ``super_jacobi_residual``
+and ``rep_residual``, and the tests here check both.
+``SuperVirasoro.jacobi_failures``, which ``jacobi-fuzz`` reports, computes
+one Jacobi residual per multiset {x, y, z} and derives the other orderings
+of a closed triple.  ``SeriesModule.rep_failures``, which ``rep-fuzz``
+reports, makes one ``rep_residual`` call per check, and asks for (u, w, v)
+right before (w, u, v); ``rep_residual`` keeps the twin of its last residual
+in one slot, so one Leibniz residual is computed per unordered pair and v.
+Every test compares an enumeration with the brute-force list over
+``itertools.product``, which computes every residual, on the tables as
+written and on tables broken on purpose, where a wrong sign or a missing
+pair or support check would change the list.
 """
 
 import itertools
@@ -67,10 +70,45 @@ def _triples(algebra, elems):
         del algebra.super_jacobi_residual
 
 
+def _twin_failures(algebra, residual, elems, thirds):
+    """The nonzero residual(x, y, t) over x, y in elems and t in thirds,
+    as (x, y, t, residual) in itertools.product order.
+
+    residual is super_jacobi_residual or a module's rep_residual, whose
+    twin rule leibniz_residual proves: residual(y, x, t) =
+    -(-1)^{|x||y|} residual(x, y, t) for every t once [y,x] = -(-1)^{|x||y|} [x,y].
+    So residual runs on the pairs with x at or before y in elems; the
+    swap of such a pair is derived when that bracket identity holds
+    exactly for the pair, and computed directly when it does not.
+    """
+    derived = {}  # (i, j) -> failures of (elems[i], elems[j]), from (j, i)
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            found = derived.pop((i, j), None)
+            if found is None:
+                found = [(t, r) for t in thirds
+                         if not (r := residual(x, y, t)).is_zero()]
+                if i < j and algebra.antisymmetric(x, y):
+                    odd = x.parity and y.parity
+                    derived[j, i] = [(t, r if odd else -r) for t, r in found]
+            for t, r in found:
+                yield x, y, t, r
+
+
 def _twins(algebra, residual, elems, thirds):
     """(failures, residual calls) of the derived enumeration."""
     calls = []
-    return list(algebra.twin_failures(_counted(residual, calls), elems, thirds)), len(calls)
+    return list(_twin_failures(algebra, _counted(residual, calls), elems, thirds)), len(calls)
+
+
+def _computed(module, run):
+    """(run(), Leibniz residuals computed meanwhile) for the module's algebra."""
+    calls = []
+    module.algebra.leibniz_residual = _counted(module.algebra.leibniz_residual, calls)
+    try:
+        return run(), len(calls)
+    finally:
+        del module.algebra.leibniz_residual
 
 
 class _OnePairBroken(SuperVirasoro):
@@ -153,11 +191,88 @@ def test_rep_failures_match_brute_force_one_residual_per_check(lean_cfg, elems, 
                                                                table, nonzero):
     module = _module(lean_cfg, family, cls=table)
     vectors = module.basis_in_box(BoxSpec(1))
-    expected = _brute_force(module.rep_residual, elems, vectors)
+    expected, brute = _computed(module, lambda: _brute_force(module.rep_residual, elems,
+                                                             vectors))
     calls = []
     module.rep_residual = _counted(module.rep_residual, calls)
-    assert module.rep_failures(elems, vectors) == expected
+    failures, computed = _computed(module, lambda: module.rep_failures(elems, vectors))
+    assert failures == expected
     assert (len(calls), len(expected)) == (3840, nonzero[list(Family).index(family)])
+    # 2,040 = (16 * 17 / 2) unordered pairs times 15 vectors; product order derives none
+    assert (brute, computed) == (3840, 2040)
+
+
+@pytest.fixture
+def doubled(lean_cfg):
+    """SBprime with G on x doubled, so the residuals below are nonzero."""
+    return _module(lean_cfg, Family.SBPRIME, cls=_DoubledGOnX)
+
+
+def _fresh(module, u, w, v):
+    """rep_residual(u, w, v) from a module with an empty twin slot."""
+    fresh = _module(module.config, module.family, module.algebra, cls=type(module))
+    return fresh.rep_residual(u, w, v)
+
+
+@pytest.mark.parametrize("asked, computed", [("uwv wuv", 1), ("uwv uwV wuv", 3),
+                                              ("uwv wuv wuv", 2)],
+                         ids=["twin", "slot overwritten", "twin answered once"])
+def test_rep_residual_answers_only_the_next_call_for_the_twin(doubled, asked, computed):
+    sv = doubled.algebra
+    named = {"u": sv.L((-1, -1)), "w": sv.G((HALF, 0)),
+             "v": doubled.x((HALF, 1)), "V": doubled.x((HALF, 0))}
+    asked = [tuple(named[c] for c in t) for t in asked.split()]
+    out, n = _computed(doubled, lambda: [doubled.rep_residual(*t) for t in asked])
+    assert out == [_fresh(doubled, *t) for t in asked]
+    assert not out[0].is_zero() and n == computed
+
+
+def test_rep_residual_twin_of_two_odd_generators_keeps_the_sign(doubled):
+    sv = doubled.algebra
+    u, w, v = sv.G((HALF, 0)), sv.G((-HALF, 1)), doubled.x((HALF, 0))
+    (r, twin), computed = _computed(doubled, lambda: (doubled.rep_residual(u, w, v),
+                                                       doubled.rep_residual(w, u, v)))
+    assert not r.is_zero() and twin == r == _fresh(doubled, w, u, v)
+    assert computed == 1
+
+
+def test_rep_residual_fills_no_slot_for_a_repeated_generator(doubled):
+    sv = doubled.algebra
+    u, v = sv.G((HALF, 0)), doubled.x((HALF, 0))
+    out, computed = _computed(doubled, lambda: [doubled.rep_residual(u, u, v)
+                                                for _ in range(2)])
+    assert not out[0].is_zero() and out == [_fresh(doubled, u, u, v)] * 2
+    assert computed == 2
+
+
+def test_rep_residual_fills_no_slot_for_a_sum_or_a_broken_pair(lean_cfg, doubled):
+    sv = doubled.algebra
+    v = doubled.x((HALF, 0))
+    total = sv.element(sv.G((HALF, 0))) + sv.element(sv.G((-HALF, 1)))
+    w = sv.G((HALF, 1))
+    out, computed = _computed(doubled, lambda: [doubled.rep_residual(total, w, v),
+                                                doubled.rep_residual(w, total, v)])
+    assert not out[0].is_zero()
+    assert out == [_fresh(doubled, total, w, v), _fresh(doubled, w, total, v)]
+    assert computed == 2
+    broken = _module(lean_cfg, Family.SBPRIME, _OnePairBroken(lean_cfg), cls=_DoubledGOnX)
+    u, w = broken.algebra.G((-HALF, -1)), broken.algebra.G((-HALF, 0))
+    assert not broken.algebra.antisymmetric(u, w)
+    out, computed = _computed(broken, lambda: [broken.rep_residual(u, w, v),
+                                               broken.rep_residual(w, u, v)])
+    assert out == [_fresh(broken, u, w, v), _fresh(broken, w, u, v)]
+    assert out[0].is_zero() and not out[1].is_zero()
+    assert computed == 2
+
+
+def test_rep_failures_leave_at_most_one_kept_residual(lean_cfg, elems, doubled):
+    names = set(vars(doubled))
+    v = doubled.x((HALF, 0))
+    doubled.rep_residual(elems[0], elems[1], v)
+    assert doubled._twin[:3] == (elems[1], elems[0], v)
+    assert len(doubled.rep_failures(elems, doubled.basis_in_box(BoxSpec(1)))) == 516
+    # one slot, emptied by the last check, (elems[-1], elems[-1], v)
+    assert set(vars(doubled)) == names and doubled._twin is None
 
 
 def test_jacobi_pair_without_antisymmetry_is_computed_directly(lean_cfg, elems):
@@ -175,9 +290,13 @@ def test_rep_pair_without_antisymmetry_is_computed_directly(lean_cfg, elems, fam
                                                            nonzero):
     module = _module(lean_cfg, family, algebra=_OnePairBroken(lean_cfg))
     vectors = module.basis_in_box(BoxSpec(1))
+    expected = _brute_force(module.rep_residual, elems, vectors)
     failures, calls = _twins(module.algebra, module.rep_residual, elems, vectors)
-    assert failures == _brute_force(module.rep_residual, elems, vectors)
+    assert failures == expected
     assert (calls, len(failures)) == (2040 + len(vectors), nonzero)
+    # rep_failures computes the broken pair's swap too, one more residual per vector
+    failures, computed = _computed(module, lambda: module.rep_failures(elems, vectors))
+    assert (failures, computed) == (expected, 2040 + len(vectors))
 
 
 def test_jacobi_triples_match_brute_force_on_one_residual_per_multiset(lean_cfg, elems):
