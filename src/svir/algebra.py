@@ -26,6 +26,8 @@ from .lattice import EVEN, AlgebraConfig, IndexVector, _Frozen, adapted_cone_bas
 from .scalar import InputError
 
 CENTRAL = Symbol("c", None)
+HALF = Fraction(1, 2)
+_MINUS_HALF = -HALF
 
 
 class AlgebraElement(FormalSum):
@@ -88,12 +90,12 @@ class SuperVirasoro:
                     terms[CENTRAL] = central
         elif x.letter == "L" and y.letter == "G":
             mu, eta = x.index, y.index
-            coeff = cfg.embed_plus_half(eta, -mu)
+            coeff = cfg.embed_plus(eta, mu, _MINUS_HALF)
             if not coeff.is_zero():
                 terms[Symbol("G", mu + eta)] = coeff
         elif x.letter == "G" and y.letter == "L":
             eta, mu = x.index, y.index
-            coeff = cfg.embed_plus_half(-eta, mu)
+            coeff = cfg.embed_plus(-eta, mu, HALF)
             if not coeff.is_zero():
                 terms[Symbol("G", mu + eta)] = coeff
         else:
@@ -156,11 +158,12 @@ class SuperVirasoro:
     def antisymmetric(self, x: Symbol, y: Symbol) -> bool:
         """Whether [y,x] = -(-1)^{|x||y|} [x,y] holds exactly, memoized.  The
         condition is symmetric in x and y, since (-1)^{|x||y|} squares to 1."""
-        held = self._antisym_cache.get((x, y))
+        key = (x, y) if id(x) <= id(y) else (y, x)  # one entry per unordered pair
+        held = self._antisym_cache.get(key)
         if held is None:
             xy = self.bracket_basis(x, y)
-            held = self.bracket_basis(y, x) == (xy if x.parity and y.parity else -xy)
-            self._antisym_cache[x, y] = self._antisym_cache[y, x] = held
+            held = self._antisym_cache[key] = (
+                self.bracket_basis(y, x) == (xy if x.parity and y.parity else -xy))
         return held
 
     def jacobi_failures(self, elems):

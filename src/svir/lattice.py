@@ -68,10 +68,9 @@ class IndexVector(_Interned):
 
     The index protocol: the bracket and action tables, the symbols and
     FormalSum use an index only through +, -, is_zero(), parity, twice
-    (to order symbols), str, hashing, config.embed and
-    config.embed_plus_half.  Another index type, such as a symbolic one,
-    implements exactly that; its twice may hold any rationals, and both
-    embeddings are exact on them.
+    (to order symbols), str, hashing, config.embed and config.embed_plus.
+    Another index type, such as a symbolic one, implements exactly that;
+    its twice may hold any rationals, and both embeddings are exact on them.
     """
 
     __slots__ = ("twice", "parity")
@@ -94,7 +93,8 @@ class IndexVector(_Interned):
         return IndexVector(tuple(-a for a in self.twice), self.parity)
 
     def __sub__(self, other):
-        return self + (-other)
+        return IndexVector(tuple(a - b for a, b in zip(self.twice, other.twice)),
+                           self.parity ^ other.parity)
 
     def scale(self, m: int):
         if self.parity != EVEN:
@@ -173,9 +173,11 @@ class AlgebraConfig:
         """Linear embedding sum(c_i * d_i); injective on the half-integer lattice."""
         return self.ctx.linear(v.twice, 2)
 
-    def embed_plus_half(self, v: IndexVector, w: IndexVector) -> ScalarExpr:
-        """embed(v) + embed(w)/2, exact for any coordinates: embed is linear."""
-        return self.ctx.linear([2 * a + b for a, b in zip(v.twice, w.twice)], 4)
+    def embed_plus(self, v: IndexVector, w: IndexVector, k) -> ScalarExpr:
+        """embed(v) + k*embed(w) for a rational k (an int or a Fraction), exact
+        for any coordinates: embed is linear."""
+        p, q = k.numerator, k.denominator
+        return self.ctx.linear([q * a + p * b for a, b in zip(v.twice, w.twice)], 2 * q)
 
     # -- finite boxes ----------------------------------------------------------
 
@@ -429,7 +431,8 @@ def iso_check(m_basis, s, mprime_basis, sprime, alpha) -> bool:
 
     The lattices are given by rational coordinate matrices over a shared
     ambient space (rows are basis vectors).  Returns True exactly when
-    alpha*M = M' as lattices and s' - alpha*s lies in M'.
+    alpha*M = M' as lattices and s' - alpha*s lies in M'.  Dependent rows
+    in M or in M' are an InputError.
     """
     alpha = as_fraction(alpha)
     if alpha == 0:
@@ -446,6 +449,8 @@ def iso_check(m_basis, s, mprime_basis, sprime, alpha) -> bool:
     if any(len(r) != ambient for r in a_rows + ap_rows) or len(s) != ambient or len(sp) != ambient:
         raise InputError("all vectors must share one ambient dimension")
 
+    # solved first, since it also refuses dependent rows of M'
+    shift = _solve_combination(ap_rows, tuple(x - alpha * y for x, y in zip(sp, s)))
     scaled = [tuple(alpha * x for x in row) for row in a_rows]
     transition = []
     for row in ap_rows:
@@ -455,9 +460,4 @@ def iso_check(m_basis, s, mprime_basis, sprime, alpha) -> bool:
         transition.append(tuple(int(c) for c in coeffs))
     if abs(unimodular_det(LatticeBasis(tuple(transition)))) != 1:
         return False
-
-    shift = tuple(x - alpha * y for x, y in zip(sp, s))
-    coeffs = _solve_combination(ap_rows, shift)
-    if coeffs is None or any(c.denominator != 1 for c in coeffs):
-        return False
-    return True
+    return shift is not None and all(c.denominator == 1 for c in shift)

@@ -25,6 +25,14 @@ everywhere.  The action tables, including every special case at index 0,
                G_lam x_{-lam} = (2*lam + a') y_0
                G_lam y_nu = nu x_{lam+nu}
 
+Read off the tables, every family is SA_{a,b} away from one special vertex:
+SA' is SA_{0,1} except acting from x_0, and SB' is SA_{0,1/2} except acting
+into y_0 (x and y swap parity, as Family.parity says).  So every generic
+entry is a + embed(v) + k*embed(g), with k = b for L on x, b - 1/2 for L on
+y and 2b - 1 for G on y, and G on x is 1.  SeriesModule._coefficient is that
+one table; at the special vertex L_mu gives +mu*(mu + a') (SA') or
+-mu*(mu + a') (SB'), and G_lam gives 2*lam + a'.
+
 Closure, simplicity and highest-weight probes work inside a truncation box
 and are reported as box-level evidence only, never as proofs.
 """
@@ -35,7 +43,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .algebra import AlgebraElement, SuperVirasoro
+from .algebra import HALF, AlgebraElement, SuperVirasoro
 from .formal import FormalSum, Symbol
 from .lattice import (EVEN, ODD, PARITY_NAMES, AlgebraConfig, ConeSpec, IndexVector,
                       LatticeBasis, _Frozen, cone_member, unimodular_det)
@@ -92,6 +100,17 @@ class SeriesModule:
         self.config = config
         self.family = family
         self.params = {name: params[name] for name in family.param_names}
+        if family is Family.SA:
+            a, b = self.params["a"], self.params["b"]
+            if b.is_constant():
+                b = b.evaluate({})
+        else:
+            a, b = config.ctx.zero, Fraction(1) if family is Family.SAPRIME else HALF
+        # the generic entries a + embed(v) + k*embed(g), keyed by (generator, v) letters
+        self._a = a
+        self._k = {("L", "x"): b, ("L", "y"): b - HALF, ("G", "y"): (b - HALF) * 2}
+        self._from_x0 = family is Family.SAPRIME
+        self._into_y0 = family is Family.SBPRIME
         self.algebra = SuperVirasoro(config)
         self._act_cache = {}
         self._edge_cache = {}
@@ -134,67 +153,36 @@ class SeriesModule:
 
     def _act_basis(self, g, v):
         self._check_vector(v)
-        cfg = self.config
         if g.letter == "c":
             return ModuleVector({})
-        embed = cfg.embed
-        gi = g.index
-        vi = v.index
-        target = gi + vi
-        # L keeps the symbol, G swaps x and y, in every family
-        out_letter = v.letter if g.letter == "L" else ("y" if v.letter == "x" else "x")
-        fam = self.family
-        if fam is Family.SA:
-            a, b = self.params["a"], self.params["b"]
-            if g.letter == "L":
-                if v.letter == "x":
-                    coeff = a + embed(vi) + embed(gi) * b
-                else:
-                    coeff = a + embed(vi) + embed(gi) * (b - Fraction(1, 2))
-            else:
-                if v.letter == "x":
-                    coeff = cfg.ctx.one
-                else:
-                    coeff = a + embed(vi) + embed(gi) * (b - Fraction(1, 2)) * 2
-        elif fam is Family.SAPRIME:
-            ap = self.params["a'"]
-            if g.letter == "L":
-                if v.letter == "x":
-                    if vi.is_zero():
-                        coeff = embed(gi) * (embed(gi) + ap)
-                    else:
-                        coeff = embed(target)
-                else:
-                    coeff = cfg.embed_plus_half(vi, gi)
-            else:
-                if v.letter == "x":
-                    if vi.is_zero():
-                        coeff = embed(gi) * 2 + ap
-                    else:
-                        coeff = cfg.ctx.one
-                else:
-                    coeff = embed(target)
-        else:
-            ap = self.params["a'"]
-            if g.letter == "L":
-                if v.letter == "x":
-                    coeff = cfg.embed_plus_half(vi, gi)
-                else:
-                    if target.is_zero():
-                        coeff = -(embed(gi) * (embed(gi) + ap))
-                    else:
-                        coeff = embed(vi)
-            else:
-                if v.letter == "x":
-                    if target.is_zero():
-                        coeff = embed(gi) * 2 + ap
-                    else:
-                        coeff = cfg.ctx.one
-                else:
-                    coeff = embed(vi)
+        target = g.index + v.index
+        coeff = self._coefficient(g.letter, g.index, v, target)
         if coeff.is_zero():
             return ModuleVector({})
-        return ModuleVector({Symbol(out_letter, target): coeff})
+        # L keeps the symbol, G swaps x and y, in every family
+        letter = v.letter if g.letter == "L" else ("y" if v.letter == "x" else "x")
+        return ModuleVector({Symbol(letter, target): coeff})
+
+    def _coefficient(self, letter, gi, v, target) -> ScalarExpr:
+        """The scalar s, zero included, of the table entry letter_gi v = s w,
+        where w has index target = gi + v.index and is v's letter under L and
+        the other letter under G."""
+        cfg = self.config
+        if (self._from_x0 and v.letter == "x" and v.index.is_zero()
+                or self._into_y0 and target.is_zero() and (letter == "L") == (v.letter == "y")):
+            e = cfg.embed(gi)
+            if letter == "G":
+                return e * 2 + self.params["a'"]
+            s = e * (e + self.params["a'"])
+            return -s if self._into_y0 else s
+        k = self._k.get((letter, v.letter))
+        if k is None:  # G on x
+            return cfg.ctx.one
+        a = self._a
+        if type(k) is Fraction:
+            s = cfg.embed_plus(v.index, gi, k)
+            return a + s if a else s
+        return a + cfg.embed(v.index) + cfg.embed(gi) * k
 
     def act(self, g, v) -> ModuleVector:
         """Bilinear extension of the basis action."""
@@ -242,10 +230,7 @@ class SeriesModule:
     def weight_of(self, v: Symbol) -> ScalarExpr:
         """Eigenvalue of L_0 on v."""
         self._check_vector(v)
-        base = self.config.embed(v.index)
-        if self.family is Family.SA:
-            return self.params["a"] + base
-        return base
+        return self._a + self.config.embed(v.index)
 
     # -- box probes ----------------------------------------------------------------
 
@@ -258,13 +243,11 @@ class SeriesModule:
 
     def _out_edges(self, basis, src) -> int:
         """Bit j set when the generator taking src to basis[j] has a nonzero
-        coefficient there.  Each image is read once, so it skips the act_basis
-        memo."""
+        table coefficient there; no image is built."""
         mask = 0
         for j, tgt in enumerate(basis):
             letter = "L" if tgt.letter == src.letter else "G"
-            image = self._act_basis(Symbol(letter, tgt.index - src.index), src)
-            if image.coefficient(tgt) is not None:
+            if not self._coefficient(letter, tgt.index - src.index, src, tgt.index).is_zero():
                 mask |= 1 << j
         return mask
 

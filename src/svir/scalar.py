@@ -612,14 +612,13 @@ class ScalarExpr:
     two polynomials skip make().
     """
 
-    __slots__ = ("ctx", "num", "den", "_hash")
+    __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx, num, den):
         # trusted constructor; use make() to normalize
         self.ctx = ctx
         self.num = num
         self.den = den
-        self._hash = None
 
     @staticmethod
     def make(ctx, num, den):
@@ -775,14 +774,11 @@ class ScalarExpr:
         return self.ctx is other.ctx and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            num = self.num
-            if self.den is self.ctx._poly_one and num.is_constant():
-                # equal to an int or a Fraction, so it hashes as that value
-                self._hash = hash(Fraction(sum(num.terms.values()), num.den))
-            else:
-                self._hash = hash((num, self.den))
-        return self._hash
+        num = self.num
+        if self.den is self.ctx._poly_one and num.is_constant():
+            # equal to an int or a Fraction, so it hashes as that value
+            return hash(Fraction(sum(num.terms.values()), num.den))
+        return hash((num, self.den))
 
     def __str__(self):
         num = poly_str(self.num, self.ctx.names)

@@ -130,6 +130,16 @@ def test_graded_antisymmetry_and_weight_additivity_box(cfg, sv):
                 assert idx.coords == total.coords
 
 
+def test_antisymmetric_keeps_one_entry_per_unordered_pair(cfg):
+    sv = SuperVirasoro(cfg)
+    elems = [Symbol("L", v) for v in cfg.box(1, EVEN)] + \
+        [Symbol("G", v) for v in cfg.box(1, ODD)] + [CENTRAL]
+    for x, y in itertools.product(elems, repeat=2):
+        assert sv.antisymmetric(x, y) is sv.antisymmetric(y, x) is True
+    n = len(elems)
+    assert len(sv._antisym_cache) == n * (n + 1) // 2
+
+
 def _ad_power(sv, x, m, y):
     """m-fold left bracket with x, by brackets of whole elements; the
     reference the stepwise ad-chain certificates are checked against."""

@@ -558,6 +558,8 @@ _BAD_INPUTS = {
                                   "error: seed y[5,0] lies outside the box\n"),
     "iso-dependent-rows": (None, _iso("[[1,0],[2,0]]"),
                            "error: basis rows must be linearly independent\n"),
+    "iso-dependent-mprime-rows": (None, _iso("[[1,0],[0,1]]", mprime="[[1,0],[2,0]]"),
+                                  "error: basis rows must be linearly independent\n"),
     "iso-ragged-rows": (None, _iso("[[1,0],[1]]"),
                         "error: all vectors must share one ambient dimension\n"),
     "iso-alpha-0": (None, _iso("[[1]]", s="[0]", mprime="[[1]]", alpha="0"),

@@ -98,8 +98,9 @@ RATIONAL_GOLDEN = {
 }
 
 
-# Reports under a non-default session: rank 3, and specialized family
-# parameters, which the report lists under ``specialized_params``.
+# Reports under a non-default session: rank 3, specialized family
+# parameters, which the report lists under ``specialized_params``, and an
+# integral sigma.
 CONFIGURED_GOLDEN = {
     "adapted-basis-n3": (
         {"n": 3},
@@ -117,6 +118,19 @@ CONFIGURED_GOLDEN = {
         {"params": {"a'": "0"}},
         ("quotient", "--family", "SAprime", "--seeds", "x[0,0]", "--radius", "3/2"),
         "b85ba6bcaf3a46cc604f54dd07ed40afbbf8bb310838ce2296836c0484fb7bd6"),
+    # integral sigma: SA' has a y_0 and SB' an x_0 beside their special vertex
+    "simplicity-SAprime-r2-integral-sigma": (
+        {"sigma": ["0", "0"]},
+        ("simplicity", "--family", "SAprime", "--radius", "2"),
+        "1c4405d5ab452d5f356bfef12f41a98c031e63be7eaf2daca272614e789471e3"),
+    "simplicity-SBprime-r2-integral-sigma": (
+        {"sigma": ["0", "0"]},
+        ("simplicity", "--family", "SBprime", "--radius", "2"),
+        "96670620556b83eba0853b8b3bc4eebec017d559e1a62388aa8d534d777e5be7"),
+    "rep-fuzz-SBprime-r1-integral-sigma": (
+        {"sigma": ["0", "0"]},
+        ("rep-fuzz", "--family", "SBprime", "--radius", "1"),
+        "4ce961b5a9dbbc2fe929a045d6b49627e4df6865a5b534b241398f515232013d"),
 }
 
 

@@ -20,10 +20,10 @@ def test_embed_examples(cfg):
     assert cfg.embed(cfg.even((2, -3))) == 2 * d1 - 3 * d2
     assert cfg.embed(cfg.odd((HALF, 0))) == d1 / 2
     assert cfg.embed(cfg.even((0, 0))) is cfg.ctx.zero
-    # embed_plus_half is exact for an odd w too
+    # embed_plus is exact for an odd w too
     v = cfg.odd((Fraction(3, 2), -1))
     for w in (cfg.even((2, -3)), cfg.odd((HALF, 1)), cfg.odd((Fraction(-5, 2), 0))):
-        assert cfg.embed_plus_half(v, w) == cfg.embed(v) + cfg.embed(w) / 2, w
+        assert cfg.embed_plus(v, w, Fraction(1, 2)) == cfg.embed(v) + cfg.embed(w) / 2, w
     # the definition sum(c_i * d_i), on the radius-2 box at rank 3
     for sigma in ((HALF, 0, 0), (0, 0, 0)):
         cfg3 = AlgebraConfig(3, ("d1", "d2", "d3"), sigma, extra_names=("a",))

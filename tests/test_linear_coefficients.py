@@ -2,11 +2,14 @@
 on embedded indices they replace.
 
 ``_bracket_basis`` reads [L_mu, L_nu] as embed(nu - mu) and [L, G], [G, L]
-through ``AlgebraConfig.embed_plus_half``, both one ``ScalarContext.linear``
-call; ``_act_basis`` does the same for its linear entries.  The references here build every coefficient the old
-way, as ScalarExpr arithmetic on embed(index) values, and every bracket
+through ``AlgebraConfig.embed_plus``, both one ``ScalarContext.linear``
+call; ``SeriesModule._coefficient`` does the same for its linear entries,
+with k = b, b - 1/2 or 2b - 1 when b is a constant.  The references here
+build every coefficient the old way, as ScalarExpr arithmetic on
+embed(index) values, from the family tables as written, and every bracket
 pair and action pair at radius 2 must agree, in all three families, with
-symbolic and with rational parameters.
+symbolic and with rational parameters, at sigma (1/2, 0) and at the
+integral sigma (0, 0), where SA' has a y_0 and SB' an x_0.
 """
 
 import itertools
@@ -24,13 +27,13 @@ HALF = Fraction(1, 2)
 
 
 @pytest.fixture(scope="module")
-def cfg():
-    return AlgebraConfig(2, ("d1", "d2"), (HALF, 0), extra_names=("a", "b", "a'"))
-
-
-@pytest.fixture(scope="module")
-def elems(cfg):
-    return _basis_elements(cfg, 2)
+def configs():
+    """(config, radius-2 algebra basis) at sigma (1/2, 0) and at sigma (0, 0)."""
+    out = []
+    for sigma in ((HALF, 0), (0, 0)):
+        cfg = AlgebraConfig(2, ("d1", "d2"), sigma, extra_names=("a", "b", "a'"))
+        out.append((cfg, _basis_elements(cfg, 2)))
+    return out
 
 
 def reference_bracket(cfg, x, y):
@@ -95,15 +98,17 @@ def _params(cfg, family, rational):
     return {"a'": 1 / (ap + 1) if rational else ap}
 
 
-def test_bracket_coefficients_match_linear_form_arithmetic(cfg, elems):
-    sv = SuperVirasoro(cfg)
-    for x, y in itertools.product(elems, repeat=2):
-        assert sv._bracket_basis(x, y) == reference_bracket(cfg, x, y), (x, y)
+def test_bracket_coefficients_match_linear_form_arithmetic(configs):
+    for cfg, elems in configs:
+        sv = SuperVirasoro(cfg)
+        for x, y in itertools.product(elems, repeat=2):
+            assert sv._bracket_basis(x, y) == reference_bracket(cfg, x, y), (x, y)
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["symbolic", "rational"])
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-def test_action_coefficients_match_linear_form_arithmetic(cfg, elems, family, rational):
-    module = SeriesModule(cfg, family, _params(cfg, family, rational))
-    for g, v in itertools.product(elems, module.basis_in_box(BoxSpec(2))):
-        assert module._act_basis(g, v) == reference_action(module, g, v), (g, v)
+def test_action_coefficients_match_linear_form_arithmetic(configs, family, rational):
+    for cfg, elems in configs:
+        module = SeriesModule(cfg, family, _params(cfg, family, rational))
+        for g, v in itertools.product(elems, module.basis_in_box(BoxSpec(2))):
+            assert module._act_basis(g, v) == reference_action(module, g, v), (g, v)

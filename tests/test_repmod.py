@@ -113,6 +113,17 @@ def test_weights(cfg, sa, sa_prime, sb_prime):
     assert sb_prime.weight_of(sb_prime.x((HALF, 2))) == d1 / 2 + 2 * d2
 
 
+@pytest.mark.parametrize("sigma", [(HALF, 0), (0, 0)], ids=["sigma-half", "sigma-integral"])
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_weight_is_the_l0_coefficient(family, sigma):
+    cfg = AlgebraConfig(2, ("d1", "d2"), sigma, extra_names=("a", "b", "a'"))
+    module = SeriesModule(cfg, family, {name: cfg.var(name) for name in family.param_names})
+    l0 = Symbol("L", cfg.even((0, 0)))
+    for v in module.basis_in_box(BoxSpec(2)):
+        image = module.act_basis(l0, v).coefficient(v)
+        assert module.weight_of(v) == (cfg.ctx.zero if image is None else image), v
+
+
 def test_weight_additivity_and_injectivity(cfg, sa, sv):
     box = BoxSpec(1)
     for v in sa.basis_in_box(box):

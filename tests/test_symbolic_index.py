@@ -2,7 +2,7 @@
 
 The tables use an index only through the index protocol of
 ``svir.lattice.IndexVector``: +, -, is_zero(), parity, twice, str, hashing
-and the config's embed and embed_plus_half.  ``Form`` below implements just
+and the config's embed and embed_plus.  ``Form`` below implements just
 that for a linear form over m1, m2, m3 with a parity bit, and an
 ``AlgebraConfig`` whose d-names are m1, m2, m3 embeds it as that form.  So
 one check here covers every lattice point the form stands for, special
